@@ -9,6 +9,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, DatasetFormatError
 from .experiment import ExperimentConfig, ExperimentResult
@@ -21,9 +23,10 @@ from .util import fingerprint
 def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     """Load a dataset with header ``id,x1,...,xd,z,time,event``.
 
-    z and event must be 0/1 and time a nonnegative decimal.  Subject ids are
-    kept as strings.  When no horizon is given, the largest observed time is
-    used.  Malformed content raises DatasetFormatError naming the line.
+    Covariates must be finite, z and event 0/1, and time a nonnegative
+    decimal.  Subject ids are kept as strings.  When no horizon is given, the
+    largest observed time is used.  Malformed content raises
+    DatasetFormatError naming the line.
     """
     with open(path, newline="") as fh:
         return _parse_cohort(fh, horizon, str(path))
@@ -84,7 +87,20 @@ def _parse_cohort(fh, horizon, name) -> Cohort:
         horizon = max(s.observed_time for s in subjects)
         if horizon <= 0:
             raise DatasetFormatError(f"{name}: all times are zero; pass an explicit horizon")
-    return Cohort(subjects=tuple(subjects), horizon=float(horizon))
+    cohort = Cohort(subjects=tuple(subjects), horizon=float(horizon))
+    finite = np.isfinite(cohort.covariate_matrix).all(axis=1)
+    if not finite.all():
+        lineno = _line_of_row(fh, int(np.argmin(finite)))
+        raise DatasetFormatError(f"{name} line {lineno}: covariates must be finite")
+    return cohort
+
+
+def _line_of_row(fh, index: int) -> int:
+    """Line number of the data row at ``index``, counting as the parser does."""
+    fh.seek(0)
+    rows = csv.reader(fh)
+    next(rows)
+    return [lineno for lineno, row in enumerate(rows, start=2) if row][index]
 
 
 def write_cohort_csv(cohort: Cohort, path) -> None:

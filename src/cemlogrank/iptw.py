@@ -12,7 +12,7 @@ from scipy.special import expit
 from .errors import RankDeficiencyError, SeparationError, WeightOverflowError
 from .logrank import Direction, TestResult, WeightFunction, _decide
 from .survival import Cohort, SubjectId
-from .util import KahanSum, pinv
+from .util import pinv, pinv_array
 
 SCORE_TOL = 1e-10
 STEP_TOL = 1e-12
@@ -82,7 +82,7 @@ def fit_logistic(
     RankDeficiencyError.
     """
     selector = tuple(int(j) for j in feature_selector)
-    z = np.array([s.arm for s in cohort.subjects], dtype=float)
+    z = cohort.arms.astype(float)
     if z.min() == z.max():
         raise SeparationError("all subjects in one arm: logistic MLE diverges")
     X = _design(cohort, selector)
@@ -151,7 +151,7 @@ def iptw_weights(model: LogisticModel, cohort: Cohort) -> IptwWeights:
     p = predict_propensity(model, cohort)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise WeightOverflowError("fitted propensity reached 0 or 1")
-    z = np.array([s.arm for s in cohort.subjects], dtype=float)
+    z = cohort.arms.astype(float)
     w = z / p + (1.0 - z) / (1.0 - p)
     return IptwWeights(
         ids=tuple(s.id for s in cohort.subjects),
@@ -188,9 +188,9 @@ def iptw_logrank(
         raise ValueError(f"weights missing for {len(missing)} subjects (e.g. {missing[0]!r})")
 
     w = np.array([by_id[s.id] for s in cohort.subjects], dtype=float)
-    t = np.array([s.observed_time for s in cohort.subjects], dtype=float)
-    z = np.array([s.arm for s in cohort.subjects], dtype=np.int64)
-    ev = np.array([s.event for s in cohort.subjects], dtype=bool)
+    t = cohort.times
+    z = cohort.arms
+    ev = cohort.events
 
     order = np.argsort(t, kind="stable")
     t, z, ev, w = t[order], z[order], ev[order], w[order]
@@ -219,28 +219,22 @@ def iptw_logrank(
     front_sq = (y1_0 + y0_0) * pinv(y1_0 * y0_0)
     front = math.sqrt(front_sq)
 
-    stat_acc = KahanSum()
-    var_acc = KahanSum()
-    path: list[tuple[float, float]] = []
-    for k in range(m):
-        s = float(times[k])
-        if dnbar[k] == 0.0 or s > tau or s <= 0.0:
-            continue
-        a1, a0 = float(y1w[k]), float(y0w[k])
-        kern = front * pinv(a1 + a0) * a1 * a0 * wf.value_at(s)
-        stat_acc.add(kern * (pinv(a1) * float(dn1w[k]) - pinv(a0) * float(dn0w[k])))
-        path.append((s, stat_acc.value))
-        u = (a0 * pinv(a1 + a0)) ** 2 * float(q1[k]) + (a1 * pinv(a1 + a0)) ** 2 * float(q0[k])
-        yb = float(ybar[k])
-        d = float(dnbar[k])
-        var_acc.add(u * pinv(yb * (yb - 1.0)) * (yb - d) * d * wf.value_at(s) ** 2)
+    # pooled event times in (0, horizon], in ascending order
+    keep = (dnbar > 0.0) & (times > 0.0) & (times <= tau)
+    s, a1, a0 = times[keep], y1w[keep], y0w[keep]
+    yb, d = ybar[keep], dnbar[keep]
+    wk = wf.value_at(s)
+    kern = front * pinv_array(a1 + a0) * a1 * a0 * wk
+    path = np.cumsum(kern * (pinv_array(a1) * dn1w[keep] - pinv_array(a0) * dn0w[keep]))
+    u = (a0 * pinv_array(a1 + a0)) ** 2 * q1[keep] + (a1 * pinv_array(a1 + a0)) ** 2 * q0[keep]
+    var_terms = u * pinv_array(yb * (yb - 1.0)) * (yb - d) * d * wk**2
 
-    w_tau = stat_acc.value
-    v_tau = front_sq * var_acc.value
+    w_tau = float(path[-1]) if len(path) else 0.0
+    v_tau = front_sq * math.fsum(var_terms.tolist())
     standardized, p_lo, p_up, p_two, reject, degenerate = _decide(
         w_tau, v_tau, alpha, direction
     )
-    n1 = int((z == 1).sum())
+    n1 = int(np.count_nonzero(z == 1))
     return TestResult(
         statistic=w_tau,
         variance_estimate=v_tau,
@@ -257,5 +251,5 @@ def iptw_logrank(
         unmatched_count=0,
         degenerate_variance=degenerate,
         method="iptw",
-        path=tuple(path) if include_path else None,
+        path=tuple(zip(s.tolist(), path.tolist())) if include_path else None,
     )

@@ -2,19 +2,22 @@
 
 All processes are evaluated left-continuously: at an event time s, weights and
 at-risk totals include every subject failing at s.  Tied events at one time
-are processed in a single grid step by summing their contributions.  Event
-sums accumulate in ascending time order with compensated summation, so the
-result does not depend on thread count or platform reduction order.
+are processed in a single grid step by summing their contributions.  The
+statistic path is a sequential running sum (``np.cumsum``) of the per-step
+increments in ascending time order: deterministic, independent of thread
+count, but not compensated.  The variance sum is exactly rounded
+(``math.fsum``).
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+import numpy as np
+
 from .matching import MatchedCohort, omega_n_holds, pooled_at_risk
-from .survival import build_event_grid
-from .util import KahanSum, norm_cdf, norm_sf, pinv
+from .survival import event_steps
+from .util import norm_cdf, norm_sf, pinv, pinv_array
 
 Direction = Literal["upper", "lower", "two_sided"]
 _DIRECTIONS = ("upper", "lower", "two_sided")
@@ -46,8 +49,9 @@ class WeightFunction:
     def constant(cls, value: float = 1.0) -> "WeightFunction":
         return cls(breakpoints=(), values=(float(value),))
 
-    def value_at(self, s: float) -> float:
-        return self.values[bisect.bisect_left(self.breakpoints, s)]
+    def value_at(self, s):
+        """Value at time s, a scalar or an array of times."""
+        return np.take(self.values, np.searchsorted(self.breakpoints, s, side="left"))
 
     def scaled(self, c: float) -> "WeightFunction":
         return WeightFunction(self.breakpoints, tuple(c * v for v in self.values))
@@ -117,50 +121,7 @@ def kernel(mc: MatchedCohort, weight_fn: WeightFunction | None, s: float) -> flo
     y1 = pooled_at_risk(mc, 1, s)
     y0 = pooled_at_risk(mc, 0, s)
     front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
-    return front * pinv(y1 + y0) * y1 * y0 * wf.value_at(s)
-
-
-class _RiskSweep:
-    """Incremental per-cell at-risk state over the matched subjects.
-
-    Maintains, exactly in integers, the treated count r1[c] and control count
-    r0[c] of each matched cell, the pooled treated total, and the pooled
-    control total sum_c r1[c] * 1{r0[c] > 0} (each at-risk control carries the
-    cell ratio r1/r0, so a cell with surviving controls contributes r1).
-    """
-
-    def __init__(self, mc: MatchedCohort):
-        cells = mc._cells
-        self.cell_index = {key: i for i, key in enumerate(cells)}
-        self.r1 = [len(tr) for tr, _ in cells.values()]
-        self.r0 = [len(co) for _, co in cells.values()]
-        self.s1 = sum(self.r1)
-        self.s0 = sum(r1 for r1, r0 in zip(self.r1, self.r0) if r0 > 0)
-        # exits grouped by observed time, each entry (cell index, arm)
-        exits: dict[float, list[tuple[int, int]]] = {}
-        subjects = mc.cohort.subjects
-        for key, (tr, co) in cells.items():
-            c = self.cell_index[key]
-            for i in tr:
-                exits.setdefault(subjects[i].observed_time, []).append((c, 1))
-            for i in co:
-                exits.setdefault(subjects[i].observed_time, []).append((c, 0))
-        self.exit_times = sorted(exits)
-        self.exits = exits
-
-    def control_ratio(self, c: int) -> float:
-        return pinv(float(self.r0[c])) * float(self.r1[c])
-
-    def remove_at(self, t: float) -> None:
-        for c, arm in self.exits.get(t, ()):
-            before = self.r1[c] if self.r0[c] > 0 else 0
-            if arm == 1:
-                self.r1[c] -= 1
-                self.s1 -= 1
-            else:
-                self.r0[c] -= 1
-            after = self.r1[c] if self.r0[c] > 0 else 0
-            self.s0 += after - before
+    return front * pinv(y1 + y0) * y1 * y0 * float(wf.value_at(s))
 
 
 def statistic_path(
@@ -173,63 +134,48 @@ def statistic_path(
     totals are evaluated at s itself.  Events of unmatched subjects contribute
     zero but their times still appear in the path.  An empty grid yields an
     empty path (statistic 0).
+
+    The pooled totals follow from the effective-time identity: a cell adds r1
+    to the control total while it has a control at risk, so Y0_s counts the
+    matched treated with min(T, E_c) >= s, where E_c is the last control time
+    of the subject's cell, and Y1_s those with T >= s.
     """
     wf = weight_fn or WeightFunction.constant()
-    grid = build_event_grid(mc.cohort)
-    if len(grid) == 0:
+    times, step = event_steps(mc.cohort)
+    if len(times) == 0:
         return []
 
-    sweep = _RiskSweep(mc)
-    y1_0 = float(sweep.s1)
-    y0_0 = float(sweep.s0)
-    front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
-    cell_of_id = {
-        sid: sweep.cell_index[stratum]
-        for sid, stratum in mc.stratum_of.items()
-        if isinstance(stratum, tuple)
-    }
+    t = mc.cohort.times
+    arms = mc.cohort.arms
+    treated = (mc.cell >= 0) & (arms == 1)
+    t1 = t[treated]
+    effective = np.minimum(t1, mc.last_control_time[mc.cell[treated]])
+    y1 = (len(t1) - np.searchsorted(np.sort(t1), times, side="left")).astype(float)
+    y0 = (len(t1) - np.searchsorted(np.sort(effective), times, side="left")).astype(float)
 
-    # merge exit times into the grid sweep; exits after the last grid time
-    # can no longer affect any evaluation
-    last = grid.times[-1]
-    timeline = sorted(set(grid.times) | {t for t in sweep.exit_times if t <= last})
-    grid_at = dict(zip(grid.times, grid.events))
+    d1 = np.bincount(step[treated & (step >= 0)], minlength=len(times)).astype(float)
+    control_events = np.flatnonzero((mc.cell >= 0) & (arms == 0) & (step >= 0))
+    r1, r0 = mc.at_risk_counts(mc.cell[control_events], t[control_events])
+    d0 = np.bincount(step[control_events], weights=r1 / r0, minlength=len(times))
 
-    acc = KahanSum()
-    path: list[tuple[float, float]] = []
-    for t in timeline:
-        events = grid_at.get(t)
-        if events is not None:
-            d1 = 0.0
-            d0 = 0.0
-            for sid, _arm in events:
-                if sid in mc.g1:
-                    d1 += 1.0
-                elif sid in mc.g0:
-                    d0 += sweep.control_ratio(cell_of_id[sid])
-            s1 = float(sweep.s1)
-            s0 = float(sweep.s0)
-            k = front * pinv(s1 + s0) * s1 * s0 * wf.value_at(t)
-            acc.add(k * (pinv(s1) * d1 - pinv(s0) * d0))
-            path.append((t, acc.value))
-        sweep.remove_at(t)
-    return path
+    # at time 0 both pooled totals equal n1
+    y_0 = float(mc.n1)
+    front = math.sqrt((y_0 + y_0) * pinv(y_0 * y_0))
+    k = front * pinv_array(y1 + y0) * y1 * y0 * wf.value_at(times)
+    path = np.cumsum(k * (pinv_array(y1) * d1 - pinv_array(y0) * d0))
+    return list(zip(times.tolist(), path.tolist()))
 
 
 def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None) -> float:
     """Variance estimator: pinv(2 * n1) times the sum of squared weight-function
     values over the matched treated events in (0, horizon]."""
     wf = weight_fn or WeightFunction.constant()
-    tau = mc.cohort.horizon
-    acc = KahanSum()
-    times = sorted(
-        s.observed_time
-        for s in mc.cohort.subjects
-        if s.id in mc.g1 and s.event and 0.0 < s.observed_time <= tau
+    cohort = mc.cohort
+    t = cohort.times
+    treated_events = (
+        (mc.cell >= 0) & (cohort.arms == 1) & cohort.events & (t > 0.0) & (t <= cohort.horizon)
     )
-    for t in times:
-        acc.add(wf.value_at(t) ** 2)
-    return pinv(2.0 * mc.n1) * acc.value
+    return pinv(2.0 * mc.n1) * math.fsum((wf.value_at(t[treated_events]) ** 2).tolist())
 
 
 def _decide(

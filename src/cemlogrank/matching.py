@@ -10,6 +10,7 @@ with an exhausted control risk set giving weight 0 via the total reciprocal.
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -165,32 +166,129 @@ def _assign_codes(scheme: CoarseningScheme, xs: np.ndarray) -> tuple[np.ndarray,
     return codes, valid
 
 
-@dataclass
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _flat_codes(scheme: CoarseningScheme, codes: np.ndarray) -> np.ndarray:
+    """One int64 per row of per-dimension codes, ordered like the rows'
+    lexicographic order.
+
+    Mixed-radix digits, one per dimension.  When the next digit would overflow
+    int64, the prefix is first replaced by its rank among the distinct
+    prefixes, which keeps the order and bounds the prefix by the row count.
+    """
+    radices = [scheme.bins(j) for j in range(scheme.continuous_dims)] + [2] * scheme.binary_dims
+    flat = codes[:, 0].copy()
+    span = radices[0]
+    for j in range(1, len(radices)):
+        if span > _INT64_MAX // radices[j]:
+            prefixes, flat = np.unique(flat, return_inverse=True)
+            span = len(prefixes)
+        flat = flat * radices[j] + codes[:, j]
+        span *= radices[j]
+    return flat
+
+
+# Per-subject reason codes of MatchedCohort.reason; the index into _REASONS.
+_MATCHED, _OUTSIDE_REGION, _NO_PARTNER = 0, 1, 2
+_REASONS = (None, MatchReason.OUTSIDE_REGION, MatchReason.NO_CROSS_ARM_PARTNER)
+
+
+# eq=False: the per-subject arrays have no single truth value, so two results
+# compare by identity
+@dataclass(frozen=True, eq=False)
 class MatchedCohort:
     """Result of coarsened exact matching; immutable after construction.
 
-    ``stratum_of`` maps every subject id either to its StratumId (matched
-    subjects) or to the reason it was left out.  ``g1``/``g0`` are the matched
-    treated/control id sets.
+    ``cell`` holds, per subject in cohort order, the index of its matched
+    cell, or -1 when the subject is unmatched; cells are indexed in the
+    lexicographic order of their StratumId.  ``reason`` holds 0 for matched
+    subjects and otherwise the code of the reason it was left out.
+    ``stratum_of``, ``g1`` and ``g0`` are per-subject views derived from
+    them on first use.
     """
 
     cohort: Cohort
     scheme: CoarseningScheme
-    stratum_of: dict[SubjectId, "StratumId | MatchReason"]
-    g1: frozenset
-    g0: frozenset
+    cell: np.ndarray = field(repr=False)
+    reason: np.ndarray = field(repr=False)
     n1: int
     n0: int
-    # per matched cell: (treated subject indices, control subject indices)
-    _cells: dict[StratumId, tuple[tuple[int, ...], tuple[int, ...]]] = field(repr=False)
 
     @property
     def unmatched_count(self) -> int:
         return len(self.cohort.subjects) - self.n1 - self.n0
 
+    @cached_property
+    def n_cells(self) -> int:
+        """Number of matched cells."""
+        return int(self.cell.max()) + 1
+
+    @cached_property
+    def cell_keys(self) -> tuple[StratumId, ...]:
+        """StratumId of each matched cell, in cell-index order."""
+        cells, first = np.unique(self.cell, return_index=True)
+        codes, _ = _assign_codes(self.scheme, self.cohort.covariate_matrix[first[cells >= 0]])
+        return tuple(map(tuple, codes.tolist()))
+
+    @cached_property
+    def stratum_of(self) -> dict[SubjectId, "StratumId | MatchReason"]:
+        """Every subject id mapped to its StratumId when matched, or else to
+        the reason it was left out."""
+        keys = self.cell_keys
+        return {
+            s.id: keys[c] if c >= 0 else _REASONS[r]
+            for s, c, r in zip(self.cohort.subjects, self.cell.tolist(), self.reason.tolist())
+        }
+
+    @cached_property
+    def g1(self) -> frozenset:
+        """Ids of the matched treated subjects."""
+        return self._matched_ids(1)
+
+    @cached_property
+    def g0(self) -> frozenset:
+        """Ids of the matched controls."""
+        return self._matched_ids(0)
+
+    def _matched_ids(self, arm: int) -> frozenset:
+        picked = np.flatnonzero((self.cell >= 0) & (self.cohort.arms == arm))
+        subjects = self.cohort.subjects
+        return frozenset(subjects[i].id for i in picked.tolist())
+
     def cell_of(self, subject_id: SubjectId) -> StratumId | None:
         s = self.stratum_of[subject_id]
         return s if isinstance(s, tuple) else None
+
+    @cached_property
+    def _risk_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matched subjects as sorted integer keys cell * m + rank, one
+        array per arm (treated, control), where rank indexes the subject's
+        time among the m distinct matched times returned alongside."""
+        matched = self.cell >= 0
+        times, rank = np.unique(self.cohort.times[matched], return_inverse=True)
+        keys = self.cell[matched] * len(times) + rank
+        arms = self.cohort.arms[matched]
+        return np.sort(keys[arms == 1]), np.sort(keys[arms == 0]), times
+
+    def at_risk_counts(self, cells, t) -> tuple[np.ndarray, np.ndarray]:
+        """Treated and control at-risk counts (observed time >= t) within
+        matched cells; ``cells`` and ``t`` broadcast against each other."""
+        keys1, keys0, times = self._risk_keys
+        cells = np.asarray(cells, dtype=np.int64)
+        lo = cells * len(times) + np.searchsorted(times, t, side="left")
+        hi = (cells + 1) * len(times)
+        return tuple(
+            np.searchsorted(keys, hi, side="left") - np.searchsorted(keys, lo, side="left")
+            for keys in (keys1, keys0)
+        )
+
+    @cached_property
+    def last_control_time(self) -> np.ndarray:
+        """E_c: the largest observed control time in each matched cell."""
+        _, keys0, times = self._risk_keys
+        ends = np.searchsorted(keys0, np.arange(1, self.n_cells + 1) * len(times), side="left")
+        return times[keys0[ends - 1] % len(times)]
 
 
 def match(cohort: Cohort, scheme: CoarseningScheme) -> MatchedCohort:
@@ -203,40 +301,27 @@ def match(cohort: Cohort, scheme: CoarseningScheme) -> MatchedCohort:
             f"scheme covers {scheme.dimension} dimensions but subjects have {xs.shape[1]}"
         )
     codes, valid = _assign_codes(scheme, xs)
-    keys = [tuple(row) for row in codes.tolist()]
+    arms = cohort.arms[valid]
+    # occupied cells of the region, in lexicographic order of their codes
+    cells, occupied = np.unique(_flat_codes(scheme, codes[valid]), return_inverse=True)
+    treated = np.bincount(occupied[arms == 1], minlength=len(cells))
+    controls = np.bincount(occupied[arms == 0], minlength=len(cells))
+    both = (treated > 0) & (controls > 0)
+    matched_index = np.where(both, np.cumsum(both) - 1, -1)
 
-    cells_all: dict[StratumId, tuple[list[int], list[int]]] = {}
-    for i, subj in enumerate(cohort.subjects):
-        if not valid[i]:
-            continue
-        slot = cells_all.setdefault(keys[i], ([], []))
-        slot[0 if subj.arm == 1 else 1].append(i)
-
-    matched_cells = {
-        k: (tuple(tr), tuple(co)) for k, (tr, co) in sorted(cells_all.items()) if tr and co
-    }
-
-    stratum_of: dict[SubjectId, StratumId | MatchReason] = {}
-    g1: list[SubjectId] = []
-    g0: list[SubjectId] = []
-    for i, subj in enumerate(cohort.subjects):
-        if not valid[i]:
-            stratum_of[subj.id] = MatchReason.OUTSIDE_REGION
-        elif keys[i] in matched_cells:
-            stratum_of[subj.id] = keys[i]
-            (g1 if subj.arm == 1 else g0).append(subj.id)
-        else:
-            stratum_of[subj.id] = MatchReason.NO_CROSS_ARM_PARTNER
-
+    cell = np.full(len(valid), -1, dtype=np.int64)
+    cell[valid] = matched_index[occupied]
+    reason = np.where(cell >= 0, _MATCHED, _NO_PARTNER).astype(np.int8)
+    reason[~valid] = _OUTSIDE_REGION
+    cell.flags.writeable = False
+    reason.flags.writeable = False
     return MatchedCohort(
         cohort=cohort,
         scheme=scheme,
-        stratum_of=stratum_of,
-        g1=frozenset(g1),
-        g0=frozenset(g0),
-        n1=len(g1),
-        n0=len(g0),
-        _cells=matched_cells,
+        cell=cell,
+        reason=reason,
+        n1=int(treated[both].sum()),
+        n0=int(controls[both].sum()),
     )
 
 
@@ -247,44 +332,32 @@ def cem_weight(mc: MatchedCohort, subject_id: SubjectId, t: float) -> float:
     at-risk count within its own cell, both evaluated at t, with an empty
     control denominator giving 0 via the total reciprocal.  Unmatched: 0.
     """
-    subjects = mc.cohort.subjects
-    if subject_id not in mc.cohort.by_id:
+    i = mc.cohort.index_of.get(subject_id)
+    if i is None:
         raise ValueError(f"unknown subject id {subject_id!r}")
-    if subject_id in mc.g1:
+    c = int(mc.cell[i])
+    if c < 0:
+        return 0.0
+    if mc.cohort.arms[i] == 1:
         return 1.0
-    if subject_id in mc.g0:
-        cell = mc.stratum_of[subject_id]
-        treated_idx, control_idx = mc._cells[cell]
-        num = sum(1 for i in treated_idx if subjects[i].observed_time >= t)
-        den = sum(1 for i in control_idx if subjects[i].observed_time >= t)
-        return pinv(float(den)) * float(num)
-    return 0.0
+    r1, r0 = mc.at_risk_counts(c, t)
+    return pinv(float(r0)) * float(r1)
 
 
 def pooled_at_risk(mc: MatchedCohort, arm: int, t: float) -> float:
-    """Weighted at-risk total over the matched subjects of one arm at time t."""
+    """Weighted at-risk total over the matched subjects of one arm at time t.
+
+    Each at-risk control carries its cell's ratio r1/r0, so a cell adds r1 to
+    the control total while it still has a control at risk, and 0 after.
+    """
     if arm not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {arm!r}")
-    subjects = mc.cohort.subjects
-    total = 0.0
-    for treated_idx, control_idx in mc._cells.values():
-        r1 = sum(1 for i in treated_idx if subjects[i].observed_time >= t)
-        if arm == 1:
-            total += float(r1)
-        else:
-            r0 = sum(1 for i in control_idx if subjects[i].observed_time >= t)
-            # each at-risk control carries the same cell-local ratio
-            total += (pinv(float(r0)) * float(r1)) * float(r0)
-    return total
+    r1, r0 = mc.at_risk_counts(np.arange(mc.n_cells), t)
+    return float(r1.sum() if arm == 1 else r1[r0 > 0].sum())
 
 
 def omega_n_holds(mc: MatchedCohort) -> bool:
     """Coverage event: every matched treated subject's cell still has at
     least one control at risk at the horizon.  Vacuously true when the
     matched treated set is empty."""
-    tau = mc.cohort.horizon
-    subjects = mc.cohort.subjects
-    for _, control_idx in mc._cells.values():
-        if not any(subjects[i].observed_time >= tau for i in control_idx):
-            return False
-    return True
+    return bool(np.all(mc.last_control_time >= mc.cohort.horizon))

@@ -179,14 +179,15 @@ def statistic_by_enumeration(mc: MatchedCohort, weight_fn: WeightFunction | None
     y1_0 = _naive_pooled(mc, 1, 0.0)
     y0_0 = _naive_pooled(mc, 0, 0.0)
     front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
-    by_id = mc.cohort.by_id
+    subjects = mc.cohort.subjects
+    index_of = mc.cohort.index_of
     terms = []
     for t, events in zip(grid.times, grid.events):
         y1 = _naive_pooled(mc, 1, t)
         y0 = _naive_pooled(mc, 0, t)
         k = front * pinv(y1 + y0) * y1 * y0 * wf.value_at(t)
-        dn1 = math.fsum(_naive_weight(mc, by_id[sid], t) for sid, _ in events if sid in mc.g1)
-        dn0 = math.fsum(_naive_weight(mc, by_id[sid], t) for sid, _ in events if sid in mc.g0)
+        dn1 = math.fsum(_naive_weight(mc, subjects[index_of[sid]], t) for sid, _ in events if sid in mc.g1)
+        dn0 = math.fsum(_naive_weight(mc, subjects[index_of[sid]], t) for sid, _ in events if sid in mc.g0)
         terms.append(k * (pinv(y1) * dn1 - pinv(y0) * dn0))
     return math.fsum(terms)
 

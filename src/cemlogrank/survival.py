@@ -57,8 +57,9 @@ class Cohort:
             raise ValueError("subject ids must be unique")
 
     @cached_property
-    def by_id(self) -> dict[SubjectId, SubjectRecord]:
-        return {s.id: s for s in self.subjects}
+    def index_of(self) -> dict[SubjectId, int]:
+        """Position of each subject id in the cohort's subject order."""
+        return {s.id: i for i, s in enumerate(self.subjects)}
 
     @cached_property
     def covariate_matrix(self) -> np.ndarray:
@@ -66,10 +67,30 @@ class Cohort:
         d = len(self.subjects[0].covariates)
         if any(len(s.covariates) != d for s in self.subjects):
             raise ValueError("all subjects must share one covariate dimension")
-        return np.array([s.covariates for s in self.subjects], dtype=float)
+        return _read_only(np.array([s.covariates for s in self.subjects], dtype=float))
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """Observed times, in subject order."""
+        return _read_only(np.array([s.observed_time for s in self.subjects], dtype=float))
+
+    @cached_property
+    def arms(self) -> np.ndarray:
+        """Arm (0 or 1) of each subject, in subject order."""
+        return _read_only(np.array([s.arm for s in self.subjects], dtype=np.int8))
+
+    @cached_property
+    def events(self) -> np.ndarray:
+        """Event flags, in subject order."""
+        return _read_only(np.array([s.event for s in self.subjects], dtype=bool))
 
     def arm_count(self, arm: int) -> int:
-        return sum(1 for s in self.subjects if s.arm == arm)
+        return int(np.count_nonzero(self.arms == arm))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -104,6 +125,18 @@ def counting(subject: SubjectRecord, t: float) -> int:
     return 1 if (subject.event and subject.observed_time <= t) else 0
 
 
+def event_steps(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct event times in (0, horizon], ascending, and for each subject
+    the index of its own time among them, or -1 when the subject has no event
+    in that window."""
+    t = cohort.times
+    in_window = cohort.events & (t > 0.0) & (t <= cohort.horizon)
+    times, step_in_window = np.unique(t[in_window], return_inverse=True)
+    step = np.full(len(t), -1, dtype=np.int64)
+    step[in_window] = step_in_window
+    return times, step
+
+
 def build_event_grid(cohort: Cohort) -> EventGrid:
     """Collect the distinct event times in (0, horizon] with their events.
 
@@ -111,12 +144,13 @@ def build_event_grid(cohort: Cohort) -> EventGrid:
     events within a step follows the subject order of the cohort and carries
     no meaning (all per-step quantities are sums).
     """
-    groups: dict[float, list[tuple[SubjectId, int]]] = {}
-    for s in cohort.subjects:
-        if s.event and 0.0 < s.observed_time <= cohort.horizon:
-            groups.setdefault(s.observed_time, []).append((s.id, s.arm))
-    times = sorted(groups)
+    times, step = event_steps(cohort)
+    members = np.flatnonzero(step >= 0)
+    members = members[np.argsort(step[members], kind="stable")]
+    bounds = np.searchsorted(step[members], np.arange(len(times) + 1)).tolist()
+    subjects = cohort.subjects
+    pairs = [(subjects[i].id, subjects[i].arm) for i in members.tolist()]
     return EventGrid(
-        times=tuple(times),
-        events=tuple(tuple(groups[t]) for t in times),
+        times=tuple(times.tolist()),
+        events=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
     )

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 
+import numpy as np
+
 
 def pinv(x: float) -> float:
     """Total reciprocal: 1/x for nonzero x, 0.0 for x == 0.
@@ -14,21 +16,9 @@ def pinv(x: float) -> float:
     return 0.0 if x == 0.0 else 1.0 / x
 
 
-class KahanSum:
-    """Compensated accumulator; keeps long event-grid sums reproducible."""
-
-    __slots__ = ("value", "_carry")
-
-    def __init__(self, value: float = 0.0):
-        self.value = value
-        self._carry = 0.0
-
-    def add(self, term: float) -> float:
-        y = term - self._carry
-        t = self.value + y
-        self._carry = (t - self.value) - y
-        self.value = t
-        return self.value
+def pinv_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise total reciprocal, as ``pinv``."""
+    return np.divide(1.0, x, out=np.zeros_like(x, dtype=float), where=x != 0.0)
 
 
 def canonical_json(obj) -> str:

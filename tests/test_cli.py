@@ -158,6 +158,24 @@ class TestTest:
         assert code == 3
         assert "numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["iptw", "cem"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_covariate_is_input_error_naming_the_line(self, workdir, capsys, method, bad):
+        data = workdir / "nan.csv"
+        data.write_text(
+            "id,x1,x2,x3,x4,x5,z,time,event\n"
+            "a,0.1,0.2,0.3,0,1,1,1.0,1\n"
+            "\n"
+            "b,0.4,0.5,0.6,1,0,0,2.0,1\n"
+            f"c,0.7,{bad},0.9,0,0,1,3.0,0\n"
+            "d,0.2,0.3,0.4,1,1,0,4.0,1\n"
+        )
+        code = main(["test", str(data), "--method", method, "--scheme", str(workdir / "scheme.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "finite" in err
+        assert "Traceback" not in err
+
 
 class TestExperiment:
     def config(self, workdir, **overrides):

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from cemlogrank import (
     Cohort,
+    Scenario,
     SubjectRecord,
     WeightFunction,
     build_event_grid,
     cem_weight,
+    fit_logistic,
+    generate,
     grid_scheme,
+    iptw_logrank,
+    iptw_weights,
     kernel,
     match,
     pooled_at_risk,
@@ -19,7 +24,7 @@ from cemlogrank import (
     statistic_path,
     variance_estimate,
 )
-from cemlogrank.oracle import statistic_by_enumeration
+from cemlogrank.oracle import _naive_pooled, _naive_weight, statistic_by_enumeration
 from cemlogrank.util import norm_sf
 
 ONE_CELL = grid_scheme([0.0], [1.0], 1)
@@ -57,6 +62,11 @@ class TestWeightFunction:
         assert wf.value_at(2.0001) == 3.0
         assert wf.value_at(5.0) == 3.0
         assert wf.value_at(6.0) == 7.0
+
+    def test_array_of_times_matches_scalar_calls(self):
+        wf = WeightFunction(breakpoints=(2.0, 5.0), values=(1.0, 3.0, 7.0))
+        ts = [0.0, 1.9, 2.0, 2.0001, 5.0, 6.0]
+        assert wf.value_at(np.array(ts)).tolist() == [wf.value_at(t) for t in ts]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,6 +160,11 @@ class TestStatisticPath:
             path = statistic_path(mc, wf)
             final = path[-1][1] if path else 0.0
             assert final == pytest.approx(statistic_by_enumeration(mc, wf), abs=1e-12)
+
+    def test_path_times_are_the_event_grid_at_scale(self):
+        cohort = generate(Scenario(n=5000, assignment_model="model2", seed=7))
+        mc = match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 12, binary_dims=2))
+        assert [t for t, _ in statistic_path(mc)] == list(build_event_grid(cohort).times)
 
     def test_path_is_cumulative(self):
         rng = np.random.default_rng(1)
@@ -252,6 +267,72 @@ class TestRunTest:
         assert run_test(mc).path is None
         res = run_test(mc, include_path=True)
         assert res.path == tuple(statistic_path(mc))
+
+
+    def test_fields_are_python_scalars(self):
+        # samples.csv writes repr(statistic); a NumPy scalar would print as np.float64(...)
+        cohort = generate(Scenario(n=300, assignment_model="model1", seed=2))
+        mc = match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 4, binary_dims=2))
+        weights = iptw_weights(fit_logistic(cohort, (0, 1)), cohort)
+        for res in (run_test(mc, include_path=True), iptw_logrank(cohort, weights, include_path=True)):
+            for name in ("statistic", "variance_estimate", "standardized", "p_lower", "p_upper", "p_two_sided"):
+                assert type(getattr(res, name)) is float
+            for name in ("reject", "degenerate_variance"):
+                assert type(getattr(res, name)) is bool
+            for name in ("n1", "n0", "unmatched_count"):
+                assert type(getattr(res, name)) is int
+            assert res.omega_n is None or type(res.omega_n) is bool
+            assert all(type(t) is float and type(v) is float for t, v in res.path)
+
+
+TIE_POOL = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+@st.composite
+def multi_cell_instances(draw):
+    """Three or more matched cells with times tied across arms, cells whose
+    controls all exit before the horizon, an unmatched cell and out-of-region
+    subjects with events, and a step weight function."""
+    horizon = 5.0
+    any_time = st.one_of(st.sampled_from(TIE_POOL), st.floats(0.05, 7.0))
+    early_time = st.one_of(st.sampled_from(TIE_POOL[:4]), st.floats(0.05, horizon - 0.01))
+    bins = draw(st.integers(4, 6))
+    rows = []
+    for cell in range(bins):
+        x = (cell + 0.5) / bins
+        unmatched = cell == bins - 1
+        n_t = draw(st.integers(1, 3))
+        n_c = 0 if unmatched else draw(st.integers(1, 3))
+        control_time = early_time if draw(st.booleans()) else any_time
+        rows += [(x, 1, draw(any_time), draw(st.booleans())) for _ in range(n_t)]
+        rows += [(x, 0, draw(control_time), draw(st.booleans())) for _ in range(n_c)]
+    for _ in range(draw(st.integers(1, 2))):
+        rows.append((draw(st.sampled_from([0.0, 1.5])), draw(st.sampled_from([0, 1])), draw(any_time), True))
+    subjects = tuple(
+        SubjectRecord(id=i, covariates=(x,), arm=arm, observed_time=t, event=ev)
+        for i, (x, arm, t, ev) in enumerate(rows)
+    )
+    breakpoints = sorted(set(draw(st.lists(st.sampled_from(TIE_POOL), max_size=3))))
+    values = draw(st.lists(st.floats(-2.0, 3.0), min_size=len(breakpoints) + 1, max_size=len(breakpoints) + 1))
+    mc = match(Cohort(subjects=subjects, horizon=horizon), grid_scheme([0.0], [1.0], bins))
+    return mc, WeightFunction(tuple(breakpoints), tuple(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=multi_cell_instances())
+def test_multi_cell_agreement_with_oracle(instance):
+    mc, wf = instance
+    assert mc.n_cells >= 3
+    grid = build_event_grid(mc.cohort)
+    path = statistic_path(mc, wf)
+    assert [t for t, _ in path] == list(grid.times)
+    final = path[-1][1] if path else 0.0
+    assert final == pytest.approx(statistic_by_enumeration(mc, wf), abs=1e-12)
+    for t in (0.0, *grid.times, mc.cohort.horizon, 7.5):
+        for arm in (1, 0):
+            assert pooled_at_risk(mc, arm, t) == pytest.approx(_naive_pooled(mc, arm, t), abs=1e-12)
+        for s in mc.cohort.subjects:
+            assert cem_weight(mc, s.id, t) == pytest.approx(_naive_weight(mc, s, t), abs=1e-12)
 
 
 class TestScaleEquivariance:

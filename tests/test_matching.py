@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -158,6 +159,37 @@ class TestMatch:
         rng.shuffle(perm)
         mc3 = match(Cohort(subjects=tuple(perm), horizon=10.0), TWO_CELLS)
         assert mc3.stratum_of == mc1.stratum_of and mc3.g1 == mc1.g1 and mc3.g0 == mc1.g0
+
+    def test_cells_beyond_int64_keep_lexicographic_order(self):
+        # 300**8 cells: a plain mixed-radix cell code would overflow int64
+        rng = np.random.default_rng(8)
+        d = 8
+        scheme = grid_scheme([0.0] * d, [1.0] * d, 300, binary_dims=1)
+        prototypes = [tuple(rng.choice([0.001, 0.5, 0.999], size=d).tolist()) for _ in range(6)]
+        subjects = [
+            subj(i, prototypes[int(rng.integers(6))] + (float(rng.integers(2)),), int(rng.integers(2)), 1.0)
+            for i in range(80)
+        ]
+        mc = match(Cohort(subjects=tuple(subjects), horizon=10.0), scheme)
+        arms_in: dict = {}
+        for s in subjects:
+            arms_in.setdefault(assign_stratum(scheme, s.covariates), set()).add(s.arm)
+        matched = sorted(k for k, arms in arms_in.items() if arms == {0, 1})
+        assert len(matched) >= 3
+        assert list(mc.cell_keys) == matched
+        for s in subjects:
+            key = assign_stratum(scheme, s.covariates)
+            expected = key if key in matched else MatchReason.NO_CROSS_ARM_PARTNER
+            assert mc.stratum_of[s.id] == expected
+            assert mc.cell[mc.cohort.index_of[s.id]] == (matched.index(key) if key in matched else -1)
+
+    def test_result_is_frozen(self):
+        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
+        mc = match(cohort, TWO_CELLS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mc.n1 = 2
+        with pytest.raises(ValueError):
+            mc.cell[0] = 1
 
 
 class TestCemWeight:
