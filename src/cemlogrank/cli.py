@@ -118,12 +118,12 @@ def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args)
     cohort = generate(scenario, replicate=args.replicate)
     dataio.write_cohort_csv(cohort, args.output)
-    print(f"wrote {args.output} ({len(cohort.subjects)} subjects)")
+    print(f"wrote {args.output} ({len(cohort)} subjects)")
     return EXIT_OK
 
 
 def _check_dimensions(cohort, scheme) -> None:
-    d = len(cohort.subjects[0].covariates)
+    d = cohort.covariate_matrix.shape[1]
     if d != scheme.dimension:
         raise ConfigError(
             f"dataset has {d} covariates but the scheme covers {scheme.dimension}"
@@ -149,6 +149,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_test(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     cohort = dataio.read_cohort_csv(args.dataset, horizon=args.horizon)
     weight_fn = dataio.load_weight_fn(args.weight_fn) if args.weight_fn else None
     config_source = {
@@ -175,7 +177,7 @@ def cmd_test(args) -> int:
         )
         report = dataio.result_report(result, config_source, scheme=scheme)
     else:
-        features = _parse_features(args.features, len(cohort.subjects[0].covariates))
+        features = _parse_features(args.features, cohort.covariate_matrix.shape[1])
         config_source["features"] = list(features)
         model = fit_logistic(cohort, features)
         result = iptw_logrank(

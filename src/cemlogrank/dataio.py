@@ -5,6 +5,7 @@ fingerprint of the canonicalized configuration that produced it.
 
 import csv
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -16,8 +17,12 @@ from .errors import ConfigError, DatasetFormatError
 from .experiment import ExperimentConfig, ExperimentResult
 from .logrank import TestResult, WeightFunction
 from .matching import CoarseningScheme, MatchedCohort, MatchReason, omega_n_holds
-from .survival import Cohort, SubjectRecord
+from .survival import Cohort
 from .util import fingerprint
+
+
+# Rows parsed per vectorized block; only the id strings outlive their block.
+CHUNK_ROWS = 4096
 
 
 def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
@@ -26,7 +31,11 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     Covariates must be finite, z and event 0/1, and time a nonnegative
     decimal.  Subject ids are kept as strings.  When no horizon is given, the
     largest observed time is used.  Malformed content raises
-    DatasetFormatError naming the line.
+    DatasetFormatError naming the line of the earliest bad row.
+
+    Rows are parsed in blocks of CHUNK_ROWS into column arrays, so the whole
+    file is never held as rows; a block that fails a check is re-read row by
+    row only to name the line.
     """
     with open(path, newline="") as fh:
         return _parse_cohort(fh, horizon, str(path))
@@ -48,72 +57,102 @@ def _parse_cohort(fh, horizon, name) -> Cohort:
         raise DatasetFormatError(
             f"{name}: covariate columns must be {','.join(expected)}, got {','.join(header[1:-3])}"
         )
-    subjects = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DatasetFormatError(
-                f"{name} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+    ids: list[str] = []
+    seen: set[str] = set()
+    blocks = []
+    lineno = 1
+    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+        data = [row for row in rows if row]
+        if data:
+            try:
+                block_ids, *columns = _parse_block(data, len(header), seen)
+            except ValueError:
+                k, message = _first_bad_row(data, len(header), seen)
+                line = lineno + 1 + [i for i, row in enumerate(rows) if row][k]
+                raise DatasetFormatError(f"{name} line {line}: {message}") from None
+            ids += block_ids
+            seen.update(block_ids)
+            blocks.append(columns)
+        lineno += len(rows)
+    if not ids:
+        raise DatasetFormatError(f"{name}: no data rows")
+    covariates, arms, times, events = (np.concatenate(c) for c in zip(*blocks))
+    if horizon is None:
+        horizon = float(times.max())
+        if horizon <= 0:
+            raise DatasetFormatError(f"{name}: all times are zero; pass an explicit horizon")
+    try:
+        return Cohort.from_columns(ids, covariates, arms, times, events, float(horizon))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{name}: {exc}") from None
+
+
+def _parse_block(data: list[list[str]], width: int, seen: set[str]) -> tuple:
+    """Ids and column arrays of well-formed rows; ValueError when any row is
+    bad."""
+    if set(map(len, data)) != {width}:
+        raise ValueError("field count")
+    columns = list(zip(*data))
+    ids = columns[0]
+    if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+        raise ValueError("duplicate id")
+    # np.array calls float() on each string, as the row checks do
+    covariates = np.array(columns[1:-3], dtype=float).reshape(width - 4, len(data)).T
+    times = np.array(columns[-2], dtype=float)
+    if not (np.isfinite(covariates).all() and np.isfinite(times).all() and (times >= 0.0).all()):
+        raise ValueError("range")
+    flags = []
+    for column in (columns[-3], columns[-1]):
+        if not set(column) <= {"0", "1"}:
+            raise ValueError("flag")
+        # every cell is one ASCII character, '0' or '1'
+        flags.append(np.frombuffer("".join(column).encode("ascii"), dtype=np.uint8) == ord("1"))
+    arms, events = flags
+    return ids, covariates, arms.astype(np.int8), times, events
+
+
+def _first_bad_row(data: list[list[str]], width: int, seen: set[str]) -> tuple[int, str]:
+    """Index and message of the first row failing a check, the checks of a
+    row taken in order: field count, covariates, z, time, event, id."""
+    block_seen = set()
+    for k, row in enumerate(data):
+        if len(row) != width:
+            return k, f"expected {width} fields, got {len(row)}"
         try:
-            covs = tuple(float(v) for v in row[1:-3])
+            covs = [float(v) for v in row[1:-3]]
         except ValueError:
-            raise DatasetFormatError(f"{name} line {lineno}: unparseable covariate") from None
+            return k, "unparseable covariate"
+        if not all(math.isfinite(v) for v in covs):
+            return k, "covariates must be finite"
         if row[-3] not in ("0", "1"):
-            raise DatasetFormatError(f"{name} line {lineno}: z must be 0 or 1, got {row[-3]!r}")
+            return k, f"z must be 0 or 1, got {row[-3]!r}"
         try:
             time = float(row[-2])
         except ValueError:
-            raise DatasetFormatError(f"{name} line {lineno}: unparseable time {row[-2]!r}") from None
+            return k, f"unparseable time {row[-2]!r}"
         if not (math.isfinite(time) and time >= 0.0):
-            raise DatasetFormatError(f"{name} line {lineno}: time must be finite and nonnegative")
+            return k, "time must be finite and nonnegative"
         if row[-1] not in ("0", "1"):
-            raise DatasetFormatError(f"{name} line {lineno}: event must be 0 or 1, got {row[-1]!r}")
-        subjects.append(
-            SubjectRecord(
-                id=row[0],
-                covariates=covs,
-                arm=int(row[-3]),
-                observed_time=time,
-                event=row[-1] == "1",
-            )
-        )
-    if not subjects:
-        raise DatasetFormatError(f"{name}: no data rows")
-    if len({s.id for s in subjects}) != len(subjects):
-        raise DatasetFormatError(f"{name}: duplicate subject ids")
-    if horizon is None:
-        horizon = max(s.observed_time for s in subjects)
-        if horizon <= 0:
-            raise DatasetFormatError(f"{name}: all times are zero; pass an explicit horizon")
-    cohort = Cohort(subjects=tuple(subjects), horizon=float(horizon))
-    finite = np.isfinite(cohort.covariate_matrix).all(axis=1)
-    if not finite.all():
-        lineno = _line_of_row(fh, int(np.argmin(finite)))
-        raise DatasetFormatError(f"{name} line {lineno}: covariates must be finite")
-    return cohort
-
-
-def _line_of_row(fh, index: int) -> int:
-    """Line number of the data row at ``index``, counting as the parser does."""
-    fh.seek(0)
-    rows = csv.reader(fh)
-    next(rows)
-    return [lineno for lineno, row in enumerate(rows, start=2) if row][index]
+            return k, f"event must be 0 or 1, got {row[-1]!r}"
+        if row[0] in seen or row[0] in block_seen:
+            return k, f"duplicate subject id {row[0]!r}"
+        block_seen.add(row[0])
+    raise AssertionError("a block failed its checks but no row did")
 
 
 def write_cohort_csv(cohort: Cohort, path) -> None:
-    d = len(cohort.subjects[0].covariates)
+    d = cohort.covariate_matrix.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"])
-        for s in cohort.subjects:
-            writer.writerow(
-                [s.id]
-                + [repr(v) for v in s.covariates]
-                + [s.arm, repr(s.observed_time), 1 if s.event else 0]
-            )
+        for sid, covs, arm, time, event in zip(
+            cohort.ids,
+            cohort.covariate_matrix.tolist(),
+            cohort.arms.tolist(),
+            cohort.times.tolist(),
+            cohort.events.tolist(),
+        ):
+            writer.writerow([sid] + [repr(v) for v in covs] + [arm, repr(time), 1 if event else 0])
 
 
 def load_scheme(path) -> CoarseningScheme:
@@ -151,13 +190,12 @@ def _stamp(payload: dict, config_source: dict) -> dict:
 def match_report(mc: MatchedCohort, config_source: dict) -> dict:
     """Machine-readable matching outcome: per-subject stratum or reason."""
     assignments = []
-    for s in mc.cohort.subjects:
-        stratum = mc.stratum_of[s.id]
+    for sid, stratum in mc.stratum_of.items():
         if isinstance(stratum, MatchReason):
-            assignments.append({"id": s.id, "stratum": None, "matched": False, "reason": stratum.value})
+            assignments.append({"id": sid, "stratum": None, "matched": False, "reason": stratum.value})
         else:
             assignments.append(
-                {"id": s.id, "stratum": list(stratum), "matched": True, "reason": "matched"}
+                {"id": sid, "stratum": list(stratum), "matched": True, "reason": "matched"}
             )
     warnings = []
     if mc.n1 == 0:
@@ -167,7 +205,7 @@ def match_report(mc: MatchedCohort, config_source: dict) -> dict:
     payload = {
         "scheme": mc.scheme.to_dict(),
         "scheme_fingerprint": fingerprint(mc.scheme.to_dict()),
-        "n_subjects": len(mc.cohort.subjects),
+        "n_subjects": len(mc.cohort),
         "n1": mc.n1,
         "n0": mc.n0,
         "unmatched_count": mc.unmatched_count,

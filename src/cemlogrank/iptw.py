@@ -44,16 +44,29 @@ class LogisticModel:
         }
 
 
-@dataclass(frozen=True)
+# eq=False: the values array has no single truth value, so two weight sets
+# compare by identity
+@dataclass(frozen=True, eq=False)
 class IptwWeights:
     """Per-subject constant weights: 1/p-hat for treated, 1/(1 - p-hat) for
-    controls.  Always at least 1 because fitted propensities lie in (0, 1)."""
+    controls.  Always at least 1 because fitted propensities lie in (0, 1).
+
+    ``values`` is a read-only float array aligned with ``ids``.
+    """
 
     ids: tuple[SubjectId, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.ids),):
+            raise ValueError("weights need exactly one value per id")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def by_id(self) -> dict[SubjectId, float]:
-        return dict(zip(self.ids, self.values))
+        return dict(zip(self.ids, self.values.tolist()))
 
 
 def _design(cohort: Cohort, feature_selector: tuple[int, ...]) -> np.ndarray:
@@ -61,7 +74,7 @@ def _design(cohort: Cohort, feature_selector: tuple[int, ...]) -> np.ndarray:
     bad = [j for j in feature_selector if not 0 <= j < xs.shape[1]]
     if bad:
         raise ValueError(f"feature indices out of range: {bad}")
-    return np.column_stack([np.ones(len(cohort.subjects))] + [xs[:, j] for j in feature_selector])
+    return np.column_stack([np.ones(len(cohort))] + [xs[:, j] for j in feature_selector])
 
 
 def _log_likelihood(eta: np.ndarray, z: np.ndarray) -> float:
@@ -145,7 +158,8 @@ def predict_propensity(model: LogisticModel, cohort: Cohort) -> np.ndarray:
 
 
 def iptw_weights(model: LogisticModel, cohort: Cohort) -> IptwWeights:
-    """Inverse-propensity weight per subject; no truncation is applied."""
+    """Inverse-propensity weight per subject, in cohort order; no truncation
+    is applied."""
     if not model.converged:
         raise ValueError("refusing to weight with an unconverged propensity model")
     p = predict_propensity(model, cohort)
@@ -153,10 +167,7 @@ def iptw_weights(model: LogisticModel, cohort: Cohort) -> IptwWeights:
         raise WeightOverflowError("fitted propensity reached 0 or 1")
     z = cohort.arms.astype(float)
     w = z / p + (1.0 - z) / (1.0 - p)
-    return IptwWeights(
-        ids=tuple(s.id for s in cohort.subjects),
-        values=tuple(float(v) for v in w),
-    )
+    return IptwWeights(ids=cohort.ids, values=w)
 
 
 def iptw_logrank(
@@ -182,12 +193,14 @@ def iptw_logrank(
     """
     wf = weight_fn or WeightFunction.constant()
     tau = cohort.horizon
-    by_id = weights.by_id()
-    missing = [s.id for s in cohort.subjects if s.id not in by_id]
-    if missing:
-        raise ValueError(f"weights missing for {len(missing)} subjects (e.g. {missing[0]!r})")
-
-    w = np.array([by_id[s.id] for s in cohort.subjects], dtype=float)
+    if weights.ids == cohort.ids:
+        w = weights.values
+    else:
+        by_id = weights.by_id()
+        missing = [sid for sid in cohort.ids if sid not in by_id]
+        if missing:
+            raise ValueError(f"weights missing for {len(missing)} subjects (e.g. {missing[0]!r})")
+        w = np.array([by_id[sid] for sid in cohort.ids], dtype=float)
     t = cohort.times
     z = cohort.arms
     ev = cohort.events
@@ -247,7 +260,7 @@ def iptw_logrank(
         reject=reject,
         omega_n=None,
         n1=n1,
-        n0=len(cohort.subjects) - n1,
+        n0=len(cohort) - n1,
         unmatched_count=0,
         degenerate_variance=degenerate,
         method="iptw",

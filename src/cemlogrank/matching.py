@@ -127,23 +127,8 @@ def assign_stratum(scheme: CoarseningScheme, x: Sequence[float]) -> StratumId | 
     global lower edge) or a binary coordinate is not exactly 0 or 1."""
     if len(x) != scheme.dimension:
         raise ValueError(f"expected {scheme.dimension} coordinates, got {len(x)}")
-    key: list[int] = []
-    for j, edges in enumerate(scheme.continuous_edges):
-        v = x[j]
-        if not (edges[0] < v <= edges[-1]):
-            return None
-        # first edge >= v, minus one: exact for values sitting on an edge
-        k = int(np.searchsorted(edges, v, side="left")) - 1
-        key.append(k)
-    for j in range(scheme.binary_dims):
-        v = x[scheme.continuous_dims + j]
-        if v == 0.0:
-            key.append(0)
-        elif v == 1.0:
-            key.append(1)
-        else:
-            return None
-    return tuple(key)
+    codes, valid = _assign_codes(scheme, np.asarray(x, dtype=float).reshape(1, -1))
+    return tuple(codes[0].tolist()) if valid[0] else None
 
 
 def _assign_codes(scheme: CoarseningScheme, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +202,7 @@ class MatchedCohort:
 
     @property
     def unmatched_count(self) -> int:
-        return len(self.cohort.subjects) - self.n1 - self.n0
+        return len(self.cohort) - self.n1 - self.n0
 
     @cached_property
     def n_cells(self) -> int:
@@ -237,8 +222,8 @@ class MatchedCohort:
         the reason it was left out."""
         keys = self.cell_keys
         return {
-            s.id: keys[c] if c >= 0 else _REASONS[r]
-            for s, c, r in zip(self.cohort.subjects, self.cell.tolist(), self.reason.tolist())
+            sid: keys[c] if c >= 0 else _REASONS[r]
+            for sid, c, r in zip(self.cohort.ids, self.cell.tolist(), self.reason.tolist())
         }
 
     @cached_property
@@ -253,8 +238,8 @@ class MatchedCohort:
 
     def _matched_ids(self, arm: int) -> frozenset:
         picked = np.flatnonzero((self.cell >= 0) & (self.cohort.arms == arm))
-        subjects = self.cohort.subjects
-        return frozenset(subjects[i].id for i in picked.tolist())
+        ids = self.cohort.ids
+        return frozenset(ids[i] for i in picked.tolist())
 
     def cell_of(self, subject_id: SubjectId) -> StratumId | None:
         s = self.stratum_of[subject_id]

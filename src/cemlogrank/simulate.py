@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 from scipy.special import expit
 
-from .survival import Cohort, SubjectRecord
+from .survival import Cohort
 
 AssignmentModel = Literal["model1", "model2"]
 Hypothesis = Literal["null", "alternative"]
@@ -179,14 +179,4 @@ def generate(scenario: Scenario, replicate: int = 0) -> Cohort:
     observed = np.minimum(t_true, censor)
     event = t_true <= censor
 
-    subjects = tuple(
-        SubjectRecord(
-            id=i,
-            covariates=tuple(xs[i].tolist()),
-            arm=int(z[i]),
-            observed_time=float(observed[i]),
-            event=bool(event[i]),
-        )
-        for i in range(n)
-    )
-    return Cohort(subjects=subjects, horizon=scenario.horizon)
+    return Cohort.from_columns(range(n), xs, z, observed, event, scenario.horizon)

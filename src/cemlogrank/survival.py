@@ -1,11 +1,18 @@
-"""Core survival data model: subject records, risk/counting indicators, event grids.
+"""Core survival data model: the columnar cohort, subject records,
+risk/counting indicators, event grids.
+
+A Cohort is a set of read-only columns (ids, covariate matrix, arms, times,
+events) plus a horizon, built by ``Cohort.from_columns`` or from records by
+``Cohort(subjects=..., horizon=...)``.  ``Cohort.subjects`` is a lazy row
+view of SubjectRecords for code that reads one subject at a time.
 
 Times are plain 64-bit floats and are compared exactly; ingestion controls
 rounding, and no epsilon merging is ever applied to the event grid.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,53 +46,142 @@ class SubjectRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Cohort:
-    """A collection of subjects observed on the window [0, horizon]."""
+    """A collection of subjects observed on the window [0, horizon], held as
+    read-only columns in subject order.
 
-    subjects: tuple[SubjectRecord, ...]
+    ``Cohort.from_columns`` builds one from its columns; ``Cohort(subjects=...,
+    horizon=...)`` converts a sequence of SubjectRecords into the same
+    columns.  ``subjects`` is a lazy row view that builds the records on first
+    row access; its length needs no records.
+    """
+
+    ids: tuple[SubjectId, ...]
+    covariate_matrix: np.ndarray = field(repr=False)
+    arms: np.ndarray = field(repr=False)
+    times: np.ndarray = field(repr=False)
+    events: np.ndarray = field(repr=False)
     horizon: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        if not self.subjects:
+    def __init__(self, subjects: Sequence[SubjectRecord], horizon: float):
+        subjects = tuple(subjects)
+        d = len(subjects[0].covariates) if subjects else 0
+        if any(len(s.covariates) != d for s in subjects):
+            raise ValueError("all subjects must share one covariate dimension")
+        self._set_columns(
+            tuple(s.id for s in subjects),
+            np.array([s.covariates for s in subjects], dtype=float).reshape(len(subjects), d),
+            [s.arm for s in subjects],
+            [s.observed_time for s in subjects],
+            [s.event for s in subjects],
+            horizon,
+        )
+        # the records are immutable and already valid: they serve as the rows
+        self.__dict__["_records"] = subjects
+
+    @classmethod
+    def from_columns(cls, ids, covariates, arms, times, events, horizon: float) -> "Cohort":
+        """Cohort from per-subject columns: ids, an n x d covariate matrix,
+        0/1 arms, nonnegative finite times and event flags.  The arrays are
+        copied."""
+        cohort = cls.__new__(cls)
+        cohort._set_columns(tuple(ids), covariates, arms, times, events, horizon)
+        return cohort
+
+    def _set_columns(self, ids, covariates, arms, times, events, horizon) -> None:
+        n = len(ids)
+        if n == 0:
             raise ValueError("cohort must contain at least one subject")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
-        ids = [s.id for s in self.subjects]
-        if len(set(ids)) != len(ids):
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+        arms = np.array(arms)
+        bad = ~np.isin(arms, (0, 1))
+        if bad.any():
+            raise ValueError(f"arm must be 0 or 1, got {arms[bad][0].item()!r}")
+        times = np.array(times, dtype=float)
+        bad = ~(np.isfinite(times) & (times >= 0.0))
+        if bad.any():
+            raise ValueError(
+                f"observed_time must be finite and nonnegative, got {times[bad][0].item()!r}"
+            )
+        if len(set(ids)) != n:
             raise ValueError("subject ids must be unique")
+        covariates = np.array(covariates, dtype=float)
+        if covariates.ndim != 2:
+            raise ValueError("all subjects must share one covariate dimension")
+        columns = {
+            "covariate_matrix": covariates,
+            "arms": arms.astype(np.int8),
+            "times": times,
+            "events": np.array(events, dtype=bool),
+        }
+        if any(c.shape[0] != n for c in columns.values()):
+            raise ValueError("every column needs one entry per subject")
+        object.__setattr__(self, "ids", ids)
+        for name, column in columns.items():
+            object.__setattr__(self, name, _read_only(column))
+        object.__setattr__(self, "horizon", horizon)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.horizon == other.horizon
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("covariate_matrix", "arms", "times", "events")
+            )
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.horizon))
+
+    @cached_property
+    def subjects(self) -> "SubjectRows":
+        """Read-only per-subject records, built on first row access."""
+        return SubjectRows(self)
+
+    @cached_property
+    def _records(self) -> tuple[SubjectRecord, ...]:
+        return tuple(
+            SubjectRecord(id=i, covariates=tuple(x), arm=z, observed_time=t, event=e)
+            for i, x, z, t, e in zip(
+                self.ids,
+                self.covariate_matrix.tolist(),
+                self.arms.tolist(),
+                self.times.tolist(),
+                self.events.tolist(),
+            )
+        )
 
     @cached_property
     def index_of(self) -> dict[SubjectId, int]:
         """Position of each subject id in the cohort's subject order."""
-        return {s.id: i for i, s in enumerate(self.subjects)}
-
-    @cached_property
-    def covariate_matrix(self) -> np.ndarray:
-        """Subjects-by-dimensions float matrix, in subject order."""
-        d = len(self.subjects[0].covariates)
-        if any(len(s.covariates) != d for s in self.subjects):
-            raise ValueError("all subjects must share one covariate dimension")
-        return _read_only(np.array([s.covariates for s in self.subjects], dtype=float))
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        """Observed times, in subject order."""
-        return _read_only(np.array([s.observed_time for s in self.subjects], dtype=float))
-
-    @cached_property
-    def arms(self) -> np.ndarray:
-        """Arm (0 or 1) of each subject, in subject order."""
-        return _read_only(np.array([s.arm for s in self.subjects], dtype=np.int8))
-
-    @cached_property
-    def events(self) -> np.ndarray:
-        """Event flags, in subject order."""
-        return _read_only(np.array([s.event for s in self.subjects], dtype=bool))
+        return {sid: i for i, sid in enumerate(self.ids)}
 
     def arm_count(self, arm: int) -> int:
         return int(np.count_nonzero(self.arms == arm))
+
+
+class SubjectRows(Sequence):
+    """Read-only sequence view of a cohort's rows as SubjectRecords."""
+
+    def __init__(self, cohort: Cohort):
+        self._cohort = cohort
+
+    def __len__(self) -> int:
+        return len(self._cohort)
+
+    def __getitem__(self, index):
+        return self._cohort._records[index]
+
+    def __iter__(self):
+        return iter(self._cohort._records)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -148,8 +244,8 @@ def build_event_grid(cohort: Cohort) -> EventGrid:
     members = np.flatnonzero(step >= 0)
     members = members[np.argsort(step[members], kind="stable")]
     bounds = np.searchsorted(step[members], np.arange(len(times) + 1)).tolist()
-    subjects = cohort.subjects
-    pairs = [(subjects[i].id, subjects[i].arm) for i in members.tolist()]
+    ids = cohort.ids
+    pairs = list(zip([ids[i] for i in members.tolist()], cohort.arms[members].tolist()))
     return EventGrid(
         times=tuple(times.tolist()),
         events=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),

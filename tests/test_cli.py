@@ -223,3 +223,53 @@ class TestExperiment:
         bad = workdir / "bad.json"
         bad.write_text("{not json")
         assert main(["experiment", "--config", str(bad)]) == 2
+
+
+class TestFlagValidation:
+    """Out-of-range flags exit 2 with an error line naming the flag."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--alpha", "1.5"],
+            ["--alpha", "0"],
+            ["--method", "iptw", "--alpha", "2"],
+        ],
+    )
+    def test_bad_alpha(self, workdir, capsys, extra):
+        data = simulate(workdir, n=100)
+        capsys.readouterr()
+        code = main(["test", str(data), "--scheme", str(workdir / "scheme.json"), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--alpha" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["test", "match"])
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "0"])
+    def test_bad_horizon(self, workdir, capsys, command, horizon):
+        data = simulate(workdir, n=100)
+        capsys.readouterr()
+        code = main([command, str(data), "--scheme", str(workdir / "scheme.json"), "--horizon", horizon])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "horizon" in err
+        assert "Traceback" not in err
+
+
+class TestPinnedOutputs:
+    """``simulate`` and ``match`` outputs are pinned byte for byte to the
+    record-based implementation that preceded the columnar cohort."""
+
+    SIMULATE_SHA256 = "52cad80df97182f1a57c466d64b84921048db9259f1c71efb5b3ea70b7acfd7f"
+    MATCH_SHA256 = "e6bf94af228a25973b9afd38bc32a4d9a19fec0a70e9b45e2f0c6e219fc7a0f6"
+
+    def test_simulate_and_match_bytes(self, workdir, monkeypatch):
+        import hashlib
+
+        # the match report fingerprints the dataset path, so it stays relative
+        monkeypatch.chdir(workdir)
+        assert main(["simulate", "--n", "200", "--seed", "1", "--output", "data.csv"]) == 0
+        assert main(["match", "data.csv", "--scheme", "scheme.json", "--output", "matched.json"]) == 0
+        digests = [hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in ("data.csv", "matched.json")]
+        assert digests == [self.SIMULATE_SHA256, self.MATCH_SHA256]
