@@ -95,7 +95,7 @@ def _scenario_from_args(args) -> Scenario:
     if args.config:
         try:
             base = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
     overrides = {
         "n": args.n,
@@ -240,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetFormatError, ConfigError) as exc:
+    except (DatasetFormatError, ConfigError, OSError) as exc:
+        # an OSError names the file it could not open, read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SeparationError, WeightOverflowError, RankDeficiencyError) as exc:

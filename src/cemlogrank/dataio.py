@@ -37,8 +37,11 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     file is never held as rows; a block that fails a check is re-read row by
     row only to name the line.
     """
-    with open(path, newline="") as fh:
-        return _parse_cohort(fh, horizon, str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return _parse_cohort(fh, horizon, str(path))
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_cohort(fh, horizon, name) -> Cohort:
@@ -142,7 +145,7 @@ def _first_bad_row(data: list[list[str]], width: int, seen: set[str]) -> tuple[i
 
 def write_cohort_csv(cohort: Cohort, path) -> None:
     d = cohort.covariate_matrix.shape[1]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"])
         for sid, covs, arm, time, event in zip(

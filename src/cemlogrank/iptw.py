@@ -1,6 +1,9 @@
 """Inverse-probability-of-treatment baseline: logistic propensity model via
 Newton-Raphson, per-subject inverse weights, and the weighted log-rank test
 with its own variance estimator computed over the pooled event grid.
+
+The test shares the matched test's risk-set sums, kernel path and result
+builder (see ``logrank``); only the weights and the variance are its own.
 """
 
 import math
@@ -10,8 +13,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import RankDeficiencyError, SeparationError, WeightOverflowError
-from .logrank import Direction, TestResult, WeightFunction, _decide
-from .survival import Cohort, SubjectId
+from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result
+from .survival import Cohort, SubjectId, event_steps, risk_set_sums
 from .util import pinv, pinv_array
 
 SCORE_TOL = 1e-10
@@ -192,7 +195,6 @@ def iptw_logrank(
     so degenerate all-ones weights reduce exactly to the classical log-rank.
     """
     wf = weight_fn or WeightFunction.constant()
-    tau = cohort.horizon
     if weights.ids == cohort.ids:
         w = weights.values
     else:
@@ -201,68 +203,39 @@ def iptw_logrank(
         if missing:
             raise ValueError(f"weights missing for {len(missing)} subjects (e.g. {missing[0]!r})")
         w = np.array([by_id[sid] for sid in cohort.ids], dtype=float)
-    t = cohort.times
     z = cohort.arms
-    ev = cohort.events
-
-    order = np.argsort(t, kind="stable")
-    t, z, ev, w = t[order], z[order], ev[order], w[order]
-    times, first = np.unique(t, return_index=True)
-    m = len(times)
-
-    def suffix(vals: np.ndarray) -> np.ndarray:
-        # sum of vals over subjects with observed time >= times[k]
-        total = float(vals.sum())
-        prefix = np.concatenate([[0.0], np.cumsum(vals)])
-        return total - prefix[first]
-
-    y1w = suffix(w * (z == 1))
-    y0w = suffix(w * (z == 0))
-    ybar = suffix(np.ones_like(w))
-    q1 = suffix(w * w * (z == 1))
-    q0 = suffix(w * w * (z == 0))
-
-    inverse = np.searchsorted(times, t)
-    dn1w = np.bincount(inverse, weights=w * (ev & (z == 1)), minlength=m)
-    dn0w = np.bincount(inverse, weights=w * (ev & (z == 0)), minlength=m)
-    dnbar = np.bincount(inverse, weights=ev.astype(float), minlength=m)
+    times, step = event_steps(cohort)
+    w1 = w * (z == 1)
+    w0 = w * (z == 0)
+    # at each pooled event time in (0, horizon]: the arm-wise at-risk sums of
+    # the weights and of the squared weights, and the unweighted pooled count
+    a1, a0, q1, q0, yb = risk_set_sums(
+        cohort.times, times, np.stack([w1, w0, w1 * w, w0 * w, np.ones_like(w)])
+    )
+    # bin 0 collects the subjects without an event in (0, horizon]
+    dn1, dn0, d = (
+        np.bincount(step + 1, weights=v, minlength=len(times) + 1)[1:]
+        for v in (w1, w0, np.ones_like(w))
+    )
 
     y1_0 = float(w[z == 1].sum())
     y0_0 = float(w[z == 0].sum())
     front_sq = (y1_0 + y0_0) * pinv(y1_0 * y0_0)
-    front = math.sqrt(front_sq)
-
-    # pooled event times in (0, horizon], in ascending order
-    keep = (dnbar > 0.0) & (times > 0.0) & (times <= tau)
-    s, a1, a0 = times[keep], y1w[keep], y0w[keep]
-    yb, d = ybar[keep], dnbar[keep]
-    wk = wf.value_at(s)
-    kern = front * pinv_array(a1 + a0) * a1 * a0 * wk
-    path = np.cumsum(kern * (pinv_array(a1) * dn1w[keep] - pinv_array(a0) * dn0w[keep]))
-    u = (a0 * pinv_array(a1 + a0)) ** 2 * q1[keep] + (a1 * pinv_array(a1 + a0)) ** 2 * q0[keep]
+    wk = wf.value_at(times)
+    path = _path(_kernel(y1_0, y0_0, a1, a0, wk), a1, a0, dn1, dn0)
+    u = (a0 * pinv_array(a1 + a0)) ** 2 * q1 + (a1 * pinv_array(a1 + a0)) ** 2 * q0
     var_terms = u * pinv_array(yb * (yb - 1.0)) * (yb - d) * d * wk**2
 
-    w_tau = float(path[-1]) if len(path) else 0.0
-    v_tau = front_sq * math.fsum(var_terms.tolist())
-    standardized, p_lo, p_up, p_two, reject, degenerate = _decide(
-        w_tau, v_tau, alpha, direction
-    )
     n1 = int(np.count_nonzero(z == 1))
-    return TestResult(
-        statistic=w_tau,
-        variance_estimate=v_tau,
-        standardized=standardized,
-        p_lower=p_lo,
-        p_upper=p_up,
-        p_two_sided=p_two,
-        alpha=alpha,
-        direction=direction,
-        reject=reject,
+    return _test_result(
+        float(path[-1]) if len(path) else 0.0,
+        front_sq * math.fsum(var_terms.tolist()),
+        alpha,
+        direction,
+        tuple(zip(times.tolist(), path.tolist())) if include_path else None,
         omega_n=None,
         n1=n1,
         n0=len(cohort) - n1,
         unmatched_count=0,
-        degenerate_variance=degenerate,
         method="iptw",
-        path=tuple(zip(s.tolist(), path.tolist())) if include_path else None,
     )

@@ -1,5 +1,9 @@
 """Matched weighted log-rank statistic, its variance estimator, and the test.
 
+The matched test and the IPTW test in ``iptw`` share the risk-set sums
+(``survival.risk_set_sums``), the kernel path (``_kernel``, ``_path``) and the
+result builder (``_test_result``); only their weights and variances differ.
+
 All processes are evaluated left-continuously: at an event time s, weights and
 at-risk totals include every subject failing at s.  Tied events at one time
 are processed in a single grid step by summing their contributions.  The
@@ -15,7 +19,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .matching import MatchedCohort, omega_n_holds, pooled_at_risk
+from .matching import MatchedCohort, omega_n_holds
 from .survival import event_steps
 from .util import norm_cdf, norm_sf, pinv, pinv_array
 
@@ -108,20 +112,27 @@ class TestResult:
         return d
 
 
-def kernel(mc: MatchedCohort, weight_fn: WeightFunction | None, s: float) -> float:
-    """Predictable factor multiplying the arm-wise increment difference at s:
+def _kernel(y1_0: float, y0_0: float, y1, y0, w):
+    """Predictable factor multiplying the arm-wise increment difference, at
+    every time whose pooled at-risk totals are y1, y0 and weight w:
 
         sqrt((Y1_0 + Y0_0) * pinv(Y1_0 * Y0_0)) * pinv(Y1_s + Y0_s) * Y1_s * Y0_s * W(s)
-
-    where Y1/Y0 are the pooled weighted at-risk totals of the two arms.
     """
-    wf = weight_fn or WeightFunction.constant()
-    y1_0 = pooled_at_risk(mc, 1, 0.0)
-    y0_0 = pooled_at_risk(mc, 0, 0.0)
-    y1 = pooled_at_risk(mc, 1, s)
-    y0 = pooled_at_risk(mc, 0, s)
     front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
-    return front * pinv(y1 + y0) * y1 * y0 * float(wf.value_at(s))
+    return front * pinv_array(y1 + y0) * y1 * y0 * w
+
+
+def _path(kern, y1, y0, dn1, dn0) -> np.ndarray:
+    """Running sum of K(s) * [pinv(Y1_s) * dN1_s - pinv(Y0_s) * dN0_s]."""
+    return np.cumsum(kern * (pinv_array(y1) * dn1 - pinv_array(y0) * dn0))
+
+
+def kernel(mc: MatchedCohort, weight_fn: WeightFunction | None, s: float) -> float:
+    """The kernel K(s) of the matched test (the formula is at ``_kernel``),
+    Y1/Y0 being the pooled weighted at-risk totals of the two arms."""
+    wf = weight_fn or WeightFunction.constant()
+    y1, y0 = mc._pooled_totals(np.array([0.0, s]))
+    return float(_kernel(y1[0], y0[0], y1[1:], y0[1:], wf.value_at(s))[0])
 
 
 def statistic_path(
@@ -134,36 +145,20 @@ def statistic_path(
     totals are evaluated at s itself.  Events of unmatched subjects contribute
     zero but their times still appear in the path.  An empty grid yields an
     empty path (statistic 0).
-
-    The pooled totals follow from the effective-time identity: a cell adds r1
-    to the control total while it has a control at risk, so Y0_s counts the
-    matched treated with min(T, E_c) >= s, where E_c is the last control time
-    of the subject's cell, and Y1_s those with T >= s.
     """
     wf = weight_fn or WeightFunction.constant()
     times, step = event_steps(mc.cohort)
-    if len(times) == 0:
-        return []
-
-    t = mc.cohort.times
+    y1, y0 = mc._pooled_totals(times)
+    matched = mc.cell >= 0
     arms = mc.cohort.arms
-    treated = (mc.cell >= 0) & (arms == 1)
-    t1 = t[treated]
-    effective = np.minimum(t1, mc.last_control_time[mc.cell[treated]])
-    y1 = (len(t1) - np.searchsorted(np.sort(t1), times, side="left")).astype(float)
-    y0 = (len(t1) - np.searchsorted(np.sort(effective), times, side="left")).astype(float)
-
-    d1 = np.bincount(step[treated & (step >= 0)], minlength=len(times)).astype(float)
-    control_events = np.flatnonzero((mc.cell >= 0) & (arms == 0) & (step >= 0))
-    r1, r0 = mc.at_risk_counts(mc.cell[control_events], t[control_events])
+    d1 = np.bincount(step[matched & (arms == 1) & (step >= 0)], minlength=len(times))
+    control_events = np.flatnonzero(matched & (arms == 0) & (step >= 0))
+    r1, r0 = mc.at_risk_counts(mc.cell[control_events], mc.cohort.times[control_events])
     d0 = np.bincount(step[control_events], weights=r1 / r0, minlength=len(times))
 
     # at time 0 both pooled totals equal n1
-    y_0 = float(mc.n1)
-    front = math.sqrt((y_0 + y_0) * pinv(y_0 * y_0))
-    k = front * pinv_array(y1 + y0) * y1 * y0 * wf.value_at(times)
-    path = np.cumsum(k * (pinv_array(y1) * d1 - pinv_array(y0) * d0))
-    return list(zip(times.tolist(), path.tolist()))
+    kern = _kernel(float(mc.n1), float(mc.n1), y1, y0, wf.value_at(times))
+    return list(zip(times.tolist(), _path(kern, y1, y0, d1, d0).tolist()))
 
 
 def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None) -> float:
@@ -178,28 +173,34 @@ def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None
     return pinv(2.0 * mc.n1) * math.fsum((wf.value_at(t[treated_events]) ** 2).tolist())
 
 
-def _decide(
-    statistic: float,
-    variance: float,
-    alpha: float,
-    direction: Direction,
-) -> tuple[float, float, float, float, bool, bool]:
+def _test_result(
+    statistic: float, variance: float, alpha: float, direction: Direction, path, **fields
+) -> TestResult:
+    """Standardize the statistic, compute its normal tail p-values and the
+    decision; ``fields`` carry the method's own counts and flags."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    degenerate = variance == 0.0
     standardized = statistic * pinv(math.sqrt(variance))
     p_lower = norm_cdf(standardized)
     p_upper = norm_sf(standardized)
     p_two = min(1.0, 2.0 * min(p_lower, p_upper))
-    if direction == "upper":
-        reject = p_upper <= alpha
-    elif direction == "lower":
-        reject = p_lower <= alpha
-    else:
-        reject = p_two <= alpha
-    return standardized, p_lower, p_upper, p_two, reject, degenerate
+    p = {"upper": p_upper, "lower": p_lower, "two_sided": p_two}[direction]
+    return TestResult(
+        statistic=statistic,
+        variance_estimate=variance,
+        standardized=standardized,
+        p_lower=p_lower,
+        p_upper=p_upper,
+        p_two_sided=p_two,
+        alpha=alpha,
+        direction=direction,
+        reject=p <= alpha,
+        degenerate_variance=variance == 0.0,
+        path=path,
+        **fields,
+    )
 
 
 def run_test(
@@ -216,26 +217,15 @@ def run_test(
     error.
     """
     path = statistic_path(mc, weight_fn)
-    w_tau = path[-1][1] if path else 0.0
-    v_tau = variance_estimate(mc, weight_fn)
-    standardized, p_lo, p_up, p_two, reject, degenerate = _decide(
-        w_tau, v_tau, alpha, direction
-    )
-    return TestResult(
-        statistic=w_tau,
-        variance_estimate=v_tau,
-        standardized=standardized,
-        p_lower=p_lo,
-        p_upper=p_up,
-        p_two_sided=p_two,
-        alpha=alpha,
-        direction=direction,
-        reject=reject,
+    return _test_result(
+        path[-1][1] if path else 0.0,
+        variance_estimate(mc, weight_fn),
+        alpha,
+        direction,
+        tuple(path) if include_path else None,
         omega_n=omega_n_holds(mc),
         n1=mc.n1,
         n0=mc.n0,
         unmatched_count=mc.unmatched_count,
-        degenerate_variance=degenerate,
         method="cem",
-        path=tuple(path) if include_path else None,
     )

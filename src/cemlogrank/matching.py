@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .survival import Cohort, SubjectId
+from .survival import Cohort, SubjectId, risk_set_sums
 from .util import pinv
 
 # Bin index per continuous dimension followed by the literal value of each
@@ -241,10 +241,6 @@ class MatchedCohort:
         ids = self.cohort.ids
         return frozenset(ids[i] for i in picked.tolist())
 
-    def cell_of(self, subject_id: SubjectId) -> StratumId | None:
-        s = self.stratum_of[subject_id]
-        return s if isinstance(s, tuple) else None
-
     @cached_property
     def _risk_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The matched subjects as sorted integer keys cell * m + rank, one
@@ -274,6 +270,19 @@ class MatchedCohort:
         _, keys0, times = self._risk_keys
         ends = np.searchsorted(keys0, np.arange(1, self.n_cells + 1) * len(times), side="left")
         return times[keys0[ends - 1] % len(times)]
+
+    def _pooled_totals(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Pooled at-risk totals (Y1, Y0) at each time in ``t``.
+
+        Effective-time identity: each at-risk control carries its cell's ratio
+        r1/r0, so a cell adds r1 to the control total while it still has a
+        control at risk.  Y1_t counts the matched treated with T >= t and Y0_t
+        those with min(T, E_c) >= t, where E_c is the cell's last control time.
+        """
+        treated = (self.cell >= 0) & (self.cohort.arms == 1)
+        t1 = self.cohort.times[treated]
+        effective = np.minimum(t1, self.last_control_time[self.cell[treated]])
+        return risk_set_sums(t1, t), risk_set_sums(effective, t)
 
 
 def match(cohort: Cohort, scheme: CoarseningScheme) -> MatchedCohort:
@@ -330,15 +339,11 @@ def cem_weight(mc: MatchedCohort, subject_id: SubjectId, t: float) -> float:
 
 
 def pooled_at_risk(mc: MatchedCohort, arm: int, t: float) -> float:
-    """Weighted at-risk total over the matched subjects of one arm at time t.
-
-    Each at-risk control carries its cell's ratio r1/r0, so a cell adds r1 to
-    the control total while it still has a control at risk, and 0 after.
-    """
+    """Weighted at-risk total over the matched subjects of one arm at time t;
+    each at-risk control carries its cell's ratio r1/r0."""
     if arm not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {arm!r}")
-    r1, r0 = mc.at_risk_counts(np.arange(mc.n_cells), t)
-    return float(r1.sum() if arm == 1 else r1[r0 > 0].sum())
+    return float(mc._pooled_totals(np.array([t], dtype=float))[1 - arm][0])
 
 
 def omega_n_holds(mc: MatchedCohort) -> bool:

@@ -7,7 +7,6 @@ coordinates.  Replicate r of a scenario draws from the counter-based stream
 keyed by (seed, r), so parallel execution order can never change the data.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -41,16 +40,14 @@ class HazardModel:
     arm_effect: float = 0.0
     covariate_effect: float = 0.25
 
-    def rate(self, x, z: int) -> float:
-        return math.exp(self.log_baseline + self.arm_effect * z + self.covariate_effect * float(np.sum(x)))
+    def rate(self, x, z):
+        """Hazard rate of one covariate row, or of each row of a matrix."""
+        return np.exp(
+            self.log_baseline + self.arm_effect * z + self.covariate_effect * np.sum(x, axis=-1)
+        )
 
     def cumulative(self, t: float, x, z: int) -> float:
         return t * self.rate(x, z)
-
-    def rate_vector(self, xs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.exp(
-            self.log_baseline + self.arm_effect * z + self.covariate_effect * xs.sum(axis=1)
-        )
 
 
 @dataclass(frozen=True)
@@ -146,12 +143,14 @@ def assign_treatment(
     return (rng.random(len(xs)) < p).astype(np.int64)
 
 
-def draw_survival(rng: np.random.Generator, x, z: int, hazard: HazardModel) -> float:
-    """One outcome draw by exact exponential inversion of the linear
-    cumulative hazard (a zero rate gives an infinite time)."""
+def draw_survival(rng: np.random.Generator, x, z: int, hazard: HazardModel):
+    """Outcome draw by exact exponential inversion of the linear cumulative
+    hazard (a zero rate gives an infinite time): one time for a covariate row,
+    an array of times, in row order, for a matrix of rows."""
     rate = hazard.rate(x, z)
-    e = rng.exponential()
-    return e / rate if rate > 0.0 else math.inf
+    e = rng.exponential(size=None if np.ndim(rate) == 0 else len(rate))
+    with np.errstate(divide="ignore"):
+        return e / rate
 
 
 def generate(scenario: Scenario, replicate: int = 0) -> Cohort:
@@ -168,11 +167,8 @@ def generate(scenario: Scenario, replicate: int = 0) -> Cohort:
 
     xs = draw_covariates(rng, n)
     z = assign_treatment(rng, xs, scenario.assignment_model)
-    rate0 = hazard.rate_vector(xs, np.zeros(n))
-    rate1 = hazard.rate_vector(xs, np.ones(n))
-    with np.errstate(divide="ignore"):
-        t_pot0 = rng.exponential(size=n) / rate0
-        t_pot1 = rng.exponential(size=n) / rate1
+    t_pot0 = draw_survival(rng, xs, 0, hazard)
+    t_pot1 = draw_survival(rng, xs, 1, hazard)
     censor = rng.uniform(0.0, scenario.censor_upper, size=n)
 
     t_true = np.where(z == 1, t_pot1, t_pot0)

@@ -1,5 +1,5 @@
 """Core survival data model: the columnar cohort, subject records,
-risk/counting indicators, event grids.
+risk/counting indicators, risk-set sums, event grids.
 
 A Cohort is a set of read-only columns (ids, covariate matrix, arms, times,
 events) plus a horizon, built by ``Cohort.from_columns`` or from records by
@@ -219,6 +219,22 @@ def at_risk(subject: SubjectRecord, t: float) -> int:
 def counting(subject: SubjectRecord, t: float) -> int:
     """Counting-process value at t: 1 iff the event occurred at or before t."""
     return 1 if (subject.event and subject.observed_time <= t) else 0
+
+
+def risk_set_sums(t: np.ndarray, times: np.ndarray, weights=None) -> np.ndarray:
+    """Sum of weights over the subjects with observed time t >= times[k], for
+    each k; without weights, the count of such subjects.
+
+    ``weights`` may stack several rows of per-subject weights, shape (r, n),
+    giving one row of sums per weight row from a single sort of ``t``.
+    """
+    if weights is None:
+        return (len(t) - np.searchsorted(np.sort(t), times, side="left")).astype(float)
+    # the subjects with t >= s are the len(t) - #(t < s) with the largest times
+    order = np.argsort(t, kind="stable")[::-1]
+    largest = np.zeros(np.shape(weights)[:-1] + (len(t) + 1,))
+    np.cumsum(np.take(weights, order, axis=-1), axis=-1, out=largest[..., 1:])
+    return largest[..., len(t) - np.searchsorted(t[order[::-1]], times, side="left")]
 
 
 def event_steps(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:

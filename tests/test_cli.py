@@ -257,6 +257,41 @@ class TestFlagValidation:
         assert "Traceback" not in err
 
 
+class TestUnusablePaths:
+    """A path that cannot be opened, read or written exits 2 with an error
+    line naming it; ``{w}`` stands for the work directory."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["test", "{w}/missing.csv", "--method", "iptw"], "{w}/missing.csv"),
+            (["match", "{w}/data.csv", "--scheme", "{w}/missing.json"], "{w}/missing.json"),
+            (["test", "{w}/data.csv", "--scheme", "{w}/scheme.json", "--weight-fn", "{w}/missing.json"],
+             "{w}/missing.json"),
+            (["experiment", "--config", "{w}/missing.json"], "{w}/missing.json"),
+            (["test", "{w}", "--method", "iptw"], "{w}"),
+            (["test", "{w}/data.csv", "--scheme", "{w}/scheme.json", "--output", "{w}/absent/out.json"],
+             "{w}/absent/out.json"),
+            (["test", "{w}/latin1.csv", "--method", "iptw"], "{w}/latin1.csv"),
+            (["simulate", "--config", "{w}/latin1.csv", "--output", "{w}/x.csv"], "{w}/latin1.csv"),
+        ],
+        ids=["dataset", "scheme", "weight-fn", "config", "directory", "output-dir", "non-utf8",
+             "non-utf8-config"],
+    )
+    def test_exit_2_naming_the_path(self, workdir, capsys, argv, named):
+        simulate(workdir, n=100)
+        (workdir / "latin1.csv").write_bytes(
+            "id,x1,z,time,event\nr\u00e9,0.5,1,1.0,1\n".encode("latin-1")
+        )
+        capsys.readouterr()
+        code = main([a.format(w=workdir) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and named.format(w=workdir) in errors[0]
+
+
 class TestPinnedOutputs:
     """``simulate`` and ``match`` outputs are pinned byte for byte to the
     record-based implementation that preceded the columnar cohort."""

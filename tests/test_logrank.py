@@ -161,10 +161,15 @@ class TestStatisticPath:
             final = path[-1][1] if path else 0.0
             assert final == pytest.approx(statistic_by_enumeration(mc, wf), abs=1e-12)
 
-    def test_path_times_are_the_event_grid_at_scale(self):
+    @pytest.mark.parametrize("method", ["cem", "iptw"])
+    def test_path_times_are_the_event_grid_at_scale(self, method):
         cohort = generate(Scenario(n=5000, assignment_model="model2", seed=7))
-        mc = match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 12, binary_dims=2))
-        assert [t for t, _ in statistic_path(mc)] == list(build_event_grid(cohort).times)
+        if method == "cem":
+            path = statistic_path(match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 12, binary_dims=2)))
+        else:
+            weights = iptw_weights(fit_logistic(cohort, (0, 1)), cohort)
+            path = iptw_logrank(cohort, weights, include_path=True).path
+        assert [t for t, _ in path] == list(build_event_grid(cohort).times)
 
     def test_path_is_cumulative(self):
         rng = np.random.default_rng(1)

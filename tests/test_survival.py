@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemlogrank import Cohort, SubjectRecord, at_risk, build_event_grid, counting
+from cemlogrank.survival import risk_set_sums
 
 
 def make_subject(id, time, event, arm=0, x=(0.5,)):
@@ -145,3 +147,30 @@ def test_event_grid_matches_direct_enumeration(subjects):
     assert list(grid.times) == expected
     for t, evs in zip(grid.times, grid.events):
         assert len(evs) == sum(1 for s in subjects if s.event and s.observed_time == t)
+
+
+@st.composite
+def risk_set_inputs(draw):
+    """Observed times drawn from a few distinct values (so ties are common),
+    one to three stacked weight rows, and query times that include values
+    below the smallest and above the largest observed time."""
+    values = draw(st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=5))
+    n = draw(st.integers(0, 30))
+    t = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=float)
+    rows = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(0.0, 4.0, allow_nan=False), min_size=rows * n, max_size=rows * n))
+    extra = draw(st.lists(st.sampled_from(values) | st.floats(0.0, 10.0, allow_nan=False), max_size=8))
+    queries = np.array([-1.0, 11.0, *values, *extra])
+    return t, np.array(weights, dtype=float).reshape(rows, n), queries
+
+
+@settings(max_examples=200, deadline=None)
+@example(inputs=(np.array([]), np.zeros((2, 0)), np.array([-1.0, 0.0, 11.0])))
+@given(inputs=risk_set_inputs())
+def test_risk_set_sums_match_direct_enumeration(inputs):
+    t, weights, queries = inputs
+    expected = [[math.fsum(w for ti, w in zip(t, row) if ti >= s) for s in queries] for row in weights]
+    assert np.allclose(risk_set_sums(t, queries, weights), expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(risk_set_sums(t, queries, weights[0]), expected[0], rtol=0.0, atol=1e-12)
+    counts = [sum(1 for ti in t if ti >= s) for s in queries]
+    assert risk_set_sums(t, queries).tolist() == counts
