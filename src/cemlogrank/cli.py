@@ -91,12 +91,6 @@ def _emit(payload: dict, output: Path | None) -> None:
 
 
 def _scenario_from_args(args) -> Scenario:
-    base = {}
-    if args.config:
-        try:
-            base = json.loads(args.config.read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{args.config}: {exc}") from exc
     overrides = {
         "n": args.n,
         "assignment_model": args.model,
@@ -105,12 +99,19 @@ def _scenario_from_args(args) -> Scenario:
         "censor_upper": args.censor_upper,
         "horizon": args.horizon,
     }
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    if "n" not in base:
-        raise ConfigError("simulate needs --n or a config with n")
-    try:
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+
+    def build(base: dict) -> Scenario:
+        base = {**base, **overrides}
+        if "n" not in base:
+            raise ConfigError("simulate needs --n or a config with n")
         return Scenario.from_dict(base)
-    except (TypeError, ValueError) as exc:
+
+    if args.config:
+        return dataio.load_json_object(args.config, "scenario", build)
+    try:
+        return build({})
+    except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
@@ -211,17 +212,16 @@ def _parse_features(text: str, d: int) -> tuple[int, ...]:
 def cmd_experiment(args) -> int:
     config = dataio.load_experiment_config(args.config)
     updates = {}
-    if args.seed is not None:
-        updates["scenario"] = dataclasses.replace(config.scenario, seed=args.seed)
     for name in ("threads", "method", "alpha", "direction", "theta", "replications"):
         value = getattr(args, name)
         if value is not None:
             updates[name] = value
-    if updates:
-        try:
-            config = dataclasses.replace(config, **updates)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        if args.seed is not None:
+            updates["scenario"] = dataclasses.replace(config.scenario, seed=args.seed)
+        config = dataclasses.replace(config, **updates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = run_experiment(config)
     summary_path, samples_path = dataio.write_experiment_outputs(result, args.output_dir)
     print(f"wrote {summary_path} and {samples_path}")

@@ -158,30 +158,30 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
             writer.writerow([sid] + [repr(v) for v in covs] + [arm, repr(time), 1 if event else 0])
 
 
-def load_scheme(path) -> CoarseningScheme:
+def load_json_object(path, what: str, build):
+    """``build(data)`` for the JSON object ``data`` in the file ``path``;
+    text that is not UTF-8 JSON, a top level that is not an object, or an
+    object that ``build`` rejects raises ConfigError naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return CoarseningScheme.from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid scheme: {exc}") from exc
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return build(data)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid {what}: {exc}") from exc
+
+
+def load_scheme(path) -> CoarseningScheme:
+    return load_json_object(path, "scheme", CoarseningScheme.from_dict)
 
 
 def load_weight_fn(path) -> WeightFunction:
-    try:
-        with open(path) as fh:
-            return WeightFunction.from_dict(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid weight function: {exc}") from exc
+    return load_json_object(path, "weight function", WeightFunction.from_dict)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return ExperimentConfig.from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid experiment config: {exc}") from exc
+    return load_json_object(path, "experiment config", ExperimentConfig.from_dict)
 
 
 def _stamp(payload: dict, config_source: dict) -> dict:
@@ -223,15 +223,12 @@ def result_report(
     result: TestResult,
     config_source: dict,
     scheme: CoarseningScheme | None = None,
-    seed: int | None = None,
     model: dict | None = None,
 ) -> dict:
     payload = result.to_dict()
     if scheme is not None:
         payload["scheme"] = scheme.to_dict()
         payload["scheme_fingerprint"] = fingerprint(scheme.to_dict())
-    if seed is not None:
-        payload["seed"] = seed
     if model is not None:
         payload["model"] = model
     return _stamp(payload, config_source)

@@ -17,6 +17,7 @@ from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import Direction, run_test
 from .matching import grid_scheme, match
 from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
+from .util import require_int
 
 Method = Literal["cem", "iptw", "both"]
 
@@ -41,22 +42,20 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "box_lo", tuple(map(float, self.box_lo)))
         object.__setattr__(self, "box_hi", tuple(map(float, self.box_hi)))
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        require_int("replications", self.replications, 1)
+        require_int("threads", self.threads, 1)
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.method not in ("cem", "iptw", "both"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.direction not in ("upper", "lower", "two_sided"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if len(self.box_lo) != CONTINUOUS_DIMS or len(self.box_hi) != CONTINUOUS_DIMS:
             raise ValueError(f"covariate box must have {CONTINUOUS_DIMS} dimensions")
-        if any(lo >= hi for lo, hi in zip(self.box_lo, self.box_hi)):
-            raise ValueError("box_lo must be strictly below box_hi componentwise")
+        if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in zip(self.box_lo, self.box_hi)):
+            raise ValueError("box_lo must be strictly below box_hi, a finite span apart")
 
     @property
     def bins_per_dim(self) -> int:
@@ -82,9 +81,6 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         data["scenario"] = Scenario.from_dict(data["scenario"])
-        for key in ("box_lo", "box_hi"):
-            if key in data:
-                data[key] = tuple(data[key])
         return cls(**data)
 
 

@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from .errors import RankDeficiencyError, SeparationError, WeightOverflowError
 from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result
-from .survival import Cohort, SubjectId, event_steps, risk_set_sums
+from .survival import Cohort, SubjectId, risk_set_sums
 from .util import pinv, pinv_array
 
 SCORE_TOL = 1e-10
@@ -125,16 +125,17 @@ def fit_logistic(
             converged = True
             break
         # halve only on genuine decreases; the slack keeps float noise in a
-        # near-converged log-likelihood from strangling the step
+        # near-converged log-likelihood from strangling the step.  After
+        # MAX_HALVINGS the last halved step is taken whatever its fit.
         floor = ll - 1e-10 * (1.0 + abs(ll))
         step = newton_step
-        for _ in range(MAX_HALVINGS):
-            if _log_likelihood(X @ (beta + step), z) >= floor:
+        for halvings in range(MAX_HALVINGS + 1):
+            eta = X @ (beta + step)
+            ll = _log_likelihood(eta, z)
+            if ll >= floor or halvings == MAX_HALVINGS:
                 break
             step = 0.5 * step
         beta = beta + step
-        eta = X @ beta
-        ll = _log_likelihood(eta, z)
         if np.max(np.abs(beta)) > DIVERGENCE_NORM:
             raise SeparationError(
                 "logistic coefficients diverged: complete or quasi-complete separation"
@@ -204,18 +205,19 @@ def iptw_logrank(
             raise ValueError(f"weights missing for {len(missing)} subjects (e.g. {missing[0]!r})")
         w = np.array([by_id[sid] for sid in cohort.ids], dtype=float)
     z = cohort.arms
-    times, step = event_steps(cohort)
+    axis, rank = cohort.time_axis
+    grid, step = cohort.event_steps
+    times = axis[grid]
     w1 = w * (z == 1)
     w0 = w * (z == 0)
     # at each pooled event time in (0, horizon]: the arm-wise at-risk sums of
     # the weights and of the squared weights, and the unweighted pooled count
-    a1, a0, q1, q0, yb = risk_set_sums(
-        cohort.times, times, np.stack([w1, w0, w1 * w, w0 * w, np.ones_like(w)])
+    a1, a0, q1, q0, yb = (
+        risk_set_sums(rank, len(axis), v)[grid] for v in (w1, w0, w1 * w, w0 * w, None)
     )
     # bin 0 collects the subjects without an event in (0, horizon]
     dn1, dn0, d = (
-        np.bincount(step + 1, weights=v, minlength=len(times) + 1)[1:]
-        for v in (w1, w0, np.ones_like(w))
+        np.bincount(step + 1, weights=v, minlength=len(grid) + 1)[1:] for v in (w1, w0, None)
     )
 
     y1_0 = float(w[z == 1].sum())

@@ -1,8 +1,9 @@
 """Matched weighted log-rank statistic, its variance estimator, and the test.
 
-The matched test and the IPTW test in ``iptw`` share the risk-set sums
-(``survival.risk_set_sums``), the kernel path (``_kernel``, ``_path``) and the
-result builder (``_test_result``); only their weights and variances differ.
+The matched test and the IPTW test in ``iptw`` share the cohort's time order
+and event grid (``Cohort.time_axis``, ``Cohort.event_steps``), the risk-set
+sums (``survival.risk_set_sums``), the kernel path (``_kernel``, ``_path``)
+and the result builder (``_test_result``); only weights and variances differ.
 
 All processes are evaluated left-continuously: at an event time s, weights and
 at-risk totals include every subject failing at s.  Tied events at one time
@@ -20,7 +21,6 @@ from typing import Literal, Optional
 import numpy as np
 
 from .matching import MatchedCohort, omega_n_holds
-from .survival import event_steps
 from .util import norm_cdf, norm_sf, pinv, pinv_array
 
 Direction = Literal["upper", "lower", "two_sided"]
@@ -46,8 +46,8 @@ class WeightFunction:
             raise ValueError("need exactly one more value than breakpoints")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(not math.isfinite(v) for v in self.values):
-            raise ValueError("weight values must be finite")
+        if any(not math.isfinite(v) for v in self.breakpoints + self.values):
+            raise ValueError("breakpoints and weight values must be finite")
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightFunction":
@@ -90,25 +90,10 @@ class TestResult:
     path: Optional[tuple[tuple[float, float], ...]] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "statistic": self.statistic,
-            "variance_estimate": self.variance_estimate,
-            "standardized": self.standardized,
-            "p_lower": self.p_lower,
-            "p_upper": self.p_upper,
-            "p_two_sided": self.p_two_sided,
-            "alpha": self.alpha,
-            "direction": self.direction,
-            "reject": self.reject,
-            "omega_n": self.omega_n,
-            "n1": self.n1,
-            "n0": self.n0,
-            "unmatched_count": self.unmatched_count,
-            "degenerate_variance": self.degenerate_variance,
-            "method": self.method,
-        }
-        if self.path is not None:
-            d["path"] = [[t, v] for t, v in self.path]
+        d = dict(self.__dict__)
+        path = d.pop("path")
+        if path is not None:
+            d["path"] = [[t, v] for t, v in path]
         return d
 
 
@@ -131,7 +116,7 @@ def kernel(mc: MatchedCohort, weight_fn: WeightFunction | None, s: float) -> flo
     """The kernel K(s) of the matched test (the formula is at ``_kernel``),
     Y1/Y0 being the pooled weighted at-risk totals of the two arms."""
     wf = weight_fn or WeightFunction.constant()
-    y1, y0 = mc._pooled_totals(np.array([0.0, s]))
+    y1, y0 = mc._pooled_totals(np.searchsorted(mc.cohort.time_axis[0], [0.0, s]))
     return float(_kernel(y1[0], y0[0], y1[1:], y0[1:], wf.value_at(s))[0])
 
 
@@ -147,8 +132,9 @@ def statistic_path(
     empty path (statistic 0).
     """
     wf = weight_fn or WeightFunction.constant()
-    times, step = event_steps(mc.cohort)
-    y1, y0 = mc._pooled_totals(times)
+    grid, step = mc.cohort.event_steps
+    times = mc.cohort.time_axis[0][grid]
+    y1, y0 = mc._pooled_totals(grid)
     matched = mc.cell >= 0
     arms = mc.cohort.arms
     d1 = np.bincount(step[matched & (arms == 1) & (step >= 0)], minlength=len(times))
@@ -166,11 +152,8 @@ def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None
     values over the matched treated events in (0, horizon]."""
     wf = weight_fn or WeightFunction.constant()
     cohort = mc.cohort
-    t = cohort.times
-    treated_events = (
-        (mc.cell >= 0) & (cohort.arms == 1) & cohort.events & (t > 0.0) & (t <= cohort.horizon)
-    )
-    return pinv(2.0 * mc.n1) * math.fsum((wf.value_at(t[treated_events]) ** 2).tolist())
+    treated_events = (mc.cell >= 0) & (cohort.arms == 1) & (cohort.event_steps[1] >= 0)
+    return pinv(2.0 * mc.n1) * math.fsum((wf.value_at(cohort.times[treated_events]) ** 2).tolist())
 
 
 def _test_result(

@@ -242,47 +242,50 @@ class MatchedCohort:
         return frozenset(ids[i] for i in picked.tolist())
 
     @cached_property
-    def _risk_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _risk_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """The matched subjects as sorted integer keys cell * m + rank, one
         array per arm (treated, control), where rank indexes the subject's
-        time among the m distinct matched times returned alongside."""
+        time on the cohort's time axis of m distinct times."""
+        axis, rank = self.cohort.time_axis
         matched = self.cell >= 0
-        times, rank = np.unique(self.cohort.times[matched], return_inverse=True)
-        keys = self.cell[matched] * len(times) + rank
+        keys = self.cell[matched] * len(axis) + rank[matched]
         arms = self.cohort.arms[matched]
-        return np.sort(keys[arms == 1]), np.sort(keys[arms == 0]), times
+        return np.sort(keys[arms == 1]), np.sort(keys[arms == 0])
 
     def at_risk_counts(self, cells, t) -> tuple[np.ndarray, np.ndarray]:
         """Treated and control at-risk counts (observed time >= t) within
         matched cells; ``cells`` and ``t`` broadcast against each other."""
-        keys1, keys0, times = self._risk_keys
+        axis = self.cohort.time_axis[0]
         cells = np.asarray(cells, dtype=np.int64)
-        lo = cells * len(times) + np.searchsorted(times, t, side="left")
-        hi = (cells + 1) * len(times)
+        lo = cells * len(axis) + np.searchsorted(axis, t, side="left")
+        hi = (cells + 1) * len(axis)
         return tuple(
             np.searchsorted(keys, hi, side="left") - np.searchsorted(keys, lo, side="left")
-            for keys in (keys1, keys0)
+            for keys in self._risk_keys
         )
 
     @cached_property
     def last_control_time(self) -> np.ndarray:
         """E_c: the largest observed control time in each matched cell."""
-        _, keys0, times = self._risk_keys
-        ends = np.searchsorted(keys0, np.arange(1, self.n_cells + 1) * len(times), side="left")
-        return times[keys0[ends - 1] % len(times)]
+        axis = self.cohort.time_axis[0]
+        keys0 = self._risk_keys[1]
+        ends = np.searchsorted(keys0, np.arange(1, self.n_cells + 1) * len(axis), side="left")
+        return axis[keys0[ends - 1] % len(axis)]
 
-    def _pooled_totals(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Pooled at-risk totals (Y1, Y0) at each time in ``t``.
+    def _pooled_totals(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """Pooled at-risk totals (Y1, Y0) at the times whose positions on the
+        cohort's time axis are ``k`` (as ``np.searchsorted(axis, t)`` gives).
 
         Effective-time identity: each at-risk control carries its cell's ratio
         r1/r0, so a cell adds r1 to the control total while it still has a
         control at risk.  Y1_t counts the matched treated with T >= t and Y0_t
         those with min(T, E_c) >= t, where E_c is the cell's last control time.
         """
+        axis, rank = self.cohort.time_axis
         treated = (self.cell >= 0) & (self.cohort.arms == 1)
-        t1 = self.cohort.times[treated]
-        effective = np.minimum(t1, self.last_control_time[self.cell[treated]])
-        return risk_set_sums(t1, t), risk_set_sums(effective, t)
+        r1 = rank[treated]
+        effective = np.minimum(r1, np.searchsorted(axis, self.last_control_time)[self.cell[treated]])
+        return risk_set_sums(r1, len(axis))[k], risk_set_sums(effective, len(axis))[k]
 
 
 def match(cohort: Cohort, scheme: CoarseningScheme) -> MatchedCohort:
@@ -343,7 +346,7 @@ def pooled_at_risk(mc: MatchedCohort, arm: int, t: float) -> float:
     each at-risk control carries its cell's ratio r1/r0."""
     if arm not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {arm!r}")
-    return float(mc._pooled_totals(np.array([t], dtype=float))[1 - arm][0])
+    return float(mc._pooled_totals(np.searchsorted(mc.cohort.time_axis[0], t))[1 - arm])
 
 
 def omega_n_holds(mc: MatchedCohort) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .logrank import WeightFunction
 from .matching import MatchedCohort
 from .simulate import HazardModel, Scenario, generate
-from .survival import Cohort, EventGrid, SubjectRecord, build_event_grid
+from .survival import Cohort, EventGrid, SubjectRecord
 from .util import pinv
 
 
@@ -173,21 +173,23 @@ def _naive_pooled(mc: MatchedCohort, arm: int, t: float) -> float:
 
 def statistic_by_enumeration(mc: MatchedCohort, weight_fn: WeightFunction | None = None) -> float:
     """Matched weighted log-rank statistic at the horizon, recomputed from the
-    defining sums at every grid time without any incremental state."""
+    defining sums at each event time in (0, horizon] without any state."""
     wf = weight_fn or WeightFunction.constant()
-    grid = build_event_grid(mc.cohort)
+    subjects = mc.cohort.subjects
+    event_times = sorted(
+        {s.observed_time for s in subjects if s.event and 0.0 < s.observed_time <= mc.cohort.horizon}
+    )
     y1_0 = _naive_pooled(mc, 1, 0.0)
     y0_0 = _naive_pooled(mc, 0, 0.0)
     front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
-    subjects = mc.cohort.subjects
-    index_of = mc.cohort.index_of
     terms = []
-    for t, events in zip(grid.times, grid.events):
+    for t in event_times:
         y1 = _naive_pooled(mc, 1, t)
         y0 = _naive_pooled(mc, 0, t)
         k = front * pinv(y1 + y0) * y1 * y0 * wf.value_at(t)
-        dn1 = math.fsum(_naive_weight(mc, subjects[index_of[sid]], t) for sid, _ in events if sid in mc.g1)
-        dn0 = math.fsum(_naive_weight(mc, subjects[index_of[sid]], t) for sid, _ in events if sid in mc.g0)
+        events = [s for s in subjects if s.event and s.observed_time == t]
+        dn1 = math.fsum(_naive_weight(mc, s, t) for s in events if s.id in mc.g1)
+        dn0 = math.fsum(_naive_weight(mc, s, t) for s in events if s.id in mc.g0)
         terms.append(k * (pinv(y1) * dn1 - pinv(y0) * dn0))
     return math.fsum(terms)
 

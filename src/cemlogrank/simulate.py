@@ -7,6 +7,7 @@ coordinates.  Replicate r of a scenario draws from the counter-based stream
 keyed by (seed, r), so parallel execution order can never change the data.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .survival import Cohort
+from .util import require_int
 
 AssignmentModel = Literal["model1", "model2"]
 Hypothesis = Literal["null", "alternative"]
@@ -65,16 +67,20 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("scenario needs n >= 2")
+        require_int("n", self.n, 2)
+        require_int("seed", self.seed, 0)
         if self.assignment_model not in ("model1", "model2"):
             raise ValueError(f"unknown assignment model {self.assignment_model!r}")
         if self.hypothesis not in ("null", "alternative"):
             raise ValueError(f"unknown hypothesis {self.hypothesis!r}")
-        if not self.censor_upper > 0:
-            raise ValueError("censor_upper must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        # a baseline of -inf is a zero hazard
+        if not (all(map(math.isfinite, (self.treatment_log_hazard, self.covariate_log_hazard)))
+                and self.baseline_log_hazard < math.inf):
+            raise ValueError("log-hazards must be finite, apart from a baseline of -inf")
+        if not 0 < self.censor_upper < math.inf:
+            raise ValueError("censor_upper must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
     def hazard_model(self) -> HazardModel:
         """Hazard of the generated outcomes; the arm effect vanishes under the null."""

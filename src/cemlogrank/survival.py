@@ -6,6 +6,10 @@ events) plus a horizon, built by ``Cohort.from_columns`` or from records by
 ``Cohort(subjects=..., horizon=...)``.  ``Cohort.subjects`` is a lazy row
 view of SubjectRecords for code that reads one subject at a time.
 
+The cohort sorts its observed times once, on first use (``time_axis``), and
+derives its event grid from that order (``event_steps``); the matched and the
+IPTW tests both read the two, and every risk-set sum is indexed on the axis.
+
 Times are plain 64-bit floats and are compared exactly; ingestion controls
 rounding, and no epsilon merging is ever applied to the event grid.
 """
@@ -167,6 +171,25 @@ class Cohort:
     def arm_count(self, arm: int) -> int:
         return int(np.count_nonzero(self.arms == arm))
 
+    @cached_property
+    def time_axis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct observed times, ascending, and each subject's index
+        among them."""
+        axis, rank = np.unique(self.times, return_inverse=True)
+        return _read_only(axis), _read_only(rank)
+
+    @cached_property
+    def event_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Axis indices of the distinct event times in (0, horizon], ascending,
+        and for each subject the index of its own time among them, or -1 when
+        the subject has no event in that window."""
+        axis, rank = self.time_axis
+        t = self.times
+        in_window = self.events & (t > 0.0) & (t <= self.horizon)
+        is_event_time = np.bincount(rank[in_window], minlength=len(axis)) > 0
+        step = np.where(in_window, (np.cumsum(is_event_time) - 1)[rank], -1)
+        return _read_only(np.flatnonzero(is_event_time)), _read_only(step)
+
 
 class SubjectRows(Sequence):
     """Read-only sequence view of a cohort's rows as SubjectRecords."""
@@ -221,32 +244,11 @@ def counting(subject: SubjectRecord, t: float) -> int:
     return 1 if (subject.event and subject.observed_time <= t) else 0
 
 
-def risk_set_sums(t: np.ndarray, times: np.ndarray, weights=None) -> np.ndarray:
-    """Sum of weights over the subjects with observed time t >= times[k], for
-    each k; without weights, the count of such subjects.
-
-    ``weights`` may stack several rows of per-subject weights, shape (r, n),
-    giving one row of sums per weight row from a single sort of ``t``.
-    """
-    if weights is None:
-        return (len(t) - np.searchsorted(np.sort(t), times, side="left")).astype(float)
-    # the subjects with t >= s are the len(t) - #(t < s) with the largest times
-    order = np.argsort(t, kind="stable")[::-1]
-    largest = np.zeros(np.shape(weights)[:-1] + (len(t) + 1,))
-    np.cumsum(np.take(weights, order, axis=-1), axis=-1, out=largest[..., 1:])
-    return largest[..., len(t) - np.searchsorted(t[order[::-1]], times, side="left")]
-
-
-def event_steps(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct event times in (0, horizon], ascending, and for each subject
-    the index of its own time among them, or -1 when the subject has no event
-    in that window."""
-    t = cohort.times
-    in_window = cohort.events & (t > 0.0) & (t <= cohort.horizon)
-    times, step_in_window = np.unique(t[in_window], return_inverse=True)
-    step = np.full(len(t), -1, dtype=np.int64)
-    step[in_window] = step_in_window
-    return times, step
+def risk_set_sums(rank: np.ndarray, m: int, weights=None) -> np.ndarray:
+    """For each axis index k in 0..m, the sum of weights (without weights, the
+    count) over the subjects whose time has axis index ``rank`` >= k, i.e.
+    whose observed time is at least the k-th distinct time; entry m is 0."""
+    return np.cumsum(np.bincount(rank, weights, minlength=m + 1)[::-1])[::-1]
 
 
 def build_event_grid(cohort: Cohort) -> EventGrid:
@@ -256,13 +258,13 @@ def build_event_grid(cohort: Cohort) -> EventGrid:
     events within a step follows the subject order of the cohort and carries
     no meaning (all per-step quantities are sums).
     """
-    times, step = event_steps(cohort)
+    grid, step = cohort.event_steps
     members = np.flatnonzero(step >= 0)
     members = members[np.argsort(step[members], kind="stable")]
-    bounds = np.searchsorted(step[members], np.arange(len(times) + 1)).tolist()
+    bounds = np.searchsorted(step[members], np.arange(len(grid) + 1)).tolist()
     ids = cohort.ids
     pairs = list(zip([ids[i] for i in members.tolist()], cohort.arms[members].tolist()))
     return EventGrid(
-        times=tuple(times.tolist()),
+        times=tuple(cohort.time_axis[0][grid].tolist()),
         events=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
     )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,12 @@ def pinv(x: float) -> float:
 def pinv_array(x: np.ndarray) -> np.ndarray:
     """Elementwise total reciprocal, as ``pinv``."""
     return np.divide(1.0, x, out=np.zeros_like(x, dtype=float), where=x != 0.0)
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """ValueError unless ``value`` is an integer (a bool is not) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def canonical_json(obj) -> str:

@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemlogrank import __version__
 from cemlogrank.cli import main
@@ -308,3 +314,132 @@ class TestPinnedOutputs:
         assert main(["match", "data.csv", "--scheme", "scheme.json", "--output", "matched.json"]) == 0
         digests = [hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in ("data.csv", "matched.json")]
         assert digests == [self.SIMULATE_SHA256, self.MATCH_SHA256]
+
+
+# Values a hostile JSON file may hold in place of any field; the markers are
+# spliced in as raw JSON text: an array nested 100 000 deep and a literal too
+# large for a float.
+HOSTILE_VALUES = [None, True, -1, 0, 2, 2.5, "x", [], {}, [1], math.nan, math.inf, -math.inf,
+                  "<deep>", "<huge>"]
+RAW = {'"<deep>"': "[" * 100_000 + "]" * 100_000, '"<huge>"': "1e400"}
+# valid documents of each kind; any integer a mutation can set keeps threads
+# at most 2, n at most 200 and replications at most 3, so no run is large
+VALID_DOCS = {
+    "scheme": SCHEME,
+    "edges": {"continuous_edges": [[-5.0, 0.0, 5.0]] * 3, "binary_dims": 2},
+    "weight-fn": {"breakpoints": [2.0], "values": [1.0, 0.5]},
+    "experiment": {
+        "scenario": {"n": 60, "assignment_model": "model1", "hypothesis": "null", "seed": 5,
+                     "treatment_log_hazard": -0.4, "covariate_log_hazard": 0.25,
+                     "baseline_log_hazard": -2.0, "censor_upper": 10.0, "horizon": 10.0},
+        "replications": 2, "method": "both", "box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0],
+        "theta": 0.3, "alpha": 0.05, "direction": "two_sided", "threads": 1,
+    },
+    "simulate": {"n": 60, "seed": 1, "horizon": 10.0, "censor_upper": 10.0},
+}
+ARGV = {
+    "scheme": ["match", "{w}/data.csv", "--scheme", "{f}"],
+    "edges": ["match", "{w}/data.csv", "--scheme", "{f}"],
+    "weight-fn": ["test", "{w}/data.csv", "--scheme", "{w}/scheme.json", "--weight-fn", "{f}"],
+    "experiment": ["experiment", "--config", "{f}", "--output-dir", "{w}/out"],
+    "simulate": ["simulate", "--config", "{f}", "--output", "{w}/out.csv"],
+}
+
+
+def field_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+        elif isinstance(value, list):
+            yield from (prefix + (key, i) for i in range(len(value)))
+
+
+def render(doc) -> str:
+    text = json.dumps(doc)
+    for marker, raw in RAW.items():
+        text = text.replace(marker, raw)
+    return text
+
+
+def with_fields(kind, **fields):
+    """A valid document of ``kind`` with some fields replaced; scenario fields
+    of an experiment config are replaced inside its scenario."""
+    doc = copy.deepcopy(VALID_DOCS[kind])
+    for key, value in fields.items():
+        (doc["scenario"] if kind == "experiment" and key in doc["scenario"] else doc)[key] = value
+    return doc
+
+
+@st.composite
+def hostile_documents(draw):
+    """A kind and the text of one of its documents with one to three fields
+    replaced, deleted or added, or with a hostile top level."""
+    kind = draw(st.sampled_from(sorted(VALID_DOCS)))
+    doc = copy.deepcopy(VALID_DOCS[kind])
+    if draw(st.integers(0, 9)) == 0:
+        doc = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            path = draw(st.sampled_from(list(field_paths(doc)) + [("extra",)]))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.integers(0, 4)) == 0 and isinstance(parent, dict):
+                parent.pop(path[-1], None)
+            elif not (isinstance(parent, list) and len(parent) <= path[-1]):
+                parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
+    return kind, render(doc)
+
+
+@pytest.fixture(scope="module")
+def hostile_workdir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("hostile-json")
+    (workdir / "scheme.json").write_text(json.dumps(SCHEME))
+    assert main(["simulate", "--n", "100", "--seed", "3", "--output", str(workdir / "data.csv")]) == 0
+    return workdir
+
+
+def run_on_document(workdir, kind, text) -> tuple[int, str]:
+    """Exit code and stderr of the command that reads a ``kind`` document."""
+    path = workdir / "doc.json"
+    path.write_text(text)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main([a.format(w=workdir, f=path) for a in ARGV[kind]])
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=hostile_documents())
+def test_hostile_json_keeps_the_exit_code_contract(hostile_workdir, document):
+    code, err = run_on_document(hostile_workdir, *document)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("weight-fn", [1]),
+        ("weight-fn", {"breakpoints": [math.nan], "values": [1.0, 2.0]}),
+        ("scheme", with_fields("scheme", bins_per_dim=math.inf)),
+        ("scheme", "<deep>"),
+        ("experiment", with_fields("experiment", n=2.5)),
+        ("experiment", with_fields("experiment", n="<huge>")),
+        ("experiment", with_fields("experiment", seed=-1)),
+        ("experiment", with_fields("experiment", replications=2.5)),
+        ("experiment", with_fields("experiment", threads=1.5)),
+        ("simulate", [1]),
+        ("simulate", with_fields("simulate", seed=1.5)),
+    ],
+    ids=["weight-fn-array", "nan-breakpoint", "infinite-bins", "deep-array", "fractional-n",
+         "huge-n", "negative-seed", "fractional-replications", "fractional-threads",
+         "scenario-array", "fractional-seed"],
+)
+def test_invalid_json_document_exits_2_naming_the_file(hostile_workdir, kind, doc):
+    code, err = run_on_document(hostile_workdir, kind, render(doc))
+    assert code == 2
+    assert err.startswith("error:") and "doc.json" in err and "Traceback" not in err

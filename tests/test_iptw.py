@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from cemlogrank import (
@@ -10,10 +12,15 @@ from cemlogrank import (
     SeparationError,
     SubjectRecord,
     WeightFunction,
+    Scenario,
     fit_logistic,
+    generate,
+    grid_scheme,
     iptw_logrank,
     iptw_weights,
+    match,
     predict_propensity,
+    run_test,
 )
 from cemlogrank.oracle import classical_logrank
 
@@ -214,3 +221,43 @@ class TestIptwLogrank:
         assert scaled.statistic == pytest.approx(2.5 * base.statistic, rel=1e-12)
         assert scaled.variance_estimate == pytest.approx(2.5**2 * base.variance_estimate, rel=1e-12)
         assert scaled.standardized == pytest.approx(base.standardized, rel=1e-12)
+
+
+@st.composite
+def tied_cohorts(draw):
+    """Integer times from 0 to 4 (so most subjects share their time with
+    others, some sit at time 0 or exactly at the horizon 3 and some beyond
+    it), both arms present."""
+    n = draw(st.integers(4, 40))
+    arms = [1, 0] + draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2, max_size=n - 2))
+    times = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    subjects = tuple(subj(i, arms[i], float(times[i]), events[i]) for i in range(n))
+    return Cohort(subjects=subjects, horizon=3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohort=tied_cohorts())
+def test_unit_weights_reduce_to_classical_on_tied_times(cohort):
+    res = iptw_logrank(cohort, unit_weights(cohort))
+    ref = classical_logrank(cohort)
+    n1 = cohort.arm_count(1)
+    front_sq = len(cohort) / (n1 * (len(cohort) - n1))
+    assert res.statistic == pytest.approx(math.sqrt(front_sq) * ref.numerator, abs=1e-12)
+    assert res.variance_estimate == pytest.approx(front_sq * ref.variance, abs=1e-12)
+    assert res.standardized == pytest.approx(ref.standardized, abs=1e-12)
+
+
+def test_iptw_reuses_the_time_order_of_the_matched_test(monkeypatch):
+    cohort = generate(Scenario(n=2000, seed=3, hypothesis="alternative"))
+    run_test(match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 9, 2)))
+    weights = iptw_weights(fit_logistic(cohort), cohort)
+    fresh = generate(Scenario(n=2000, seed=3, hypothesis="alternative"))
+    expected = iptw_logrank(fresh, iptw_weights(fit_logistic(fresh), fresh), include_path=True)
+
+    def no_sorting(*args, **kwargs):
+        raise AssertionError("observed times sorted a second time")
+
+    for name in ("unique", "sort", "argsort"):
+        monkeypatch.setattr(np, name, no_sorting)
+    assert iptw_logrank(cohort, weights, include_path=True) == expected
