@@ -113,8 +113,8 @@ def grid_scheme(
     hi = np.asarray(box_hi, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("box_lo and box_hi must be equal-length vectors")
-    if not np.all(lo < hi):
-        raise ValueError("box_lo must be strictly below box_hi componentwise")
+    if not all(a < b and math.isfinite(b - a) for a, b in zip(lo.tolist(), hi.tolist())):
+        raise ValueError("box_lo must be strictly below box_hi, a finite span apart")
     edges = tuple(
         tuple(np.linspace(lo[j], hi[j], bins_per_dim + 1).tolist()) for j in range(len(lo))
     )

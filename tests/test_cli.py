@@ -426,6 +426,7 @@ def test_hostile_json_keeps_the_exit_code_contract(hostile_workdir, document):
         ("weight-fn", [1]),
         ("weight-fn", {"breakpoints": [math.nan], "values": [1.0, 2.0]}),
         ("scheme", with_fields("scheme", bins_per_dim=math.inf)),
+        ("scheme", with_fields("scheme", box_hi=["<huge>", 5.0, 5.0])),
         ("scheme", "<deep>"),
         ("experiment", with_fields("experiment", n=2.5)),
         ("experiment", with_fields("experiment", n="<huge>")),
@@ -435,7 +436,7 @@ def test_hostile_json_keeps_the_exit_code_contract(hostile_workdir, document):
         ("simulate", [1]),
         ("simulate", with_fields("simulate", seed=1.5)),
     ],
-    ids=["weight-fn-array", "nan-breakpoint", "infinite-bins", "deep-array", "fractional-n",
+    ids=["weight-fn-array", "nan-breakpoint", "infinite-bins", "infinite-box", "deep-array", "fractional-n",
          "huge-n", "negative-seed", "fractional-replications", "fractional-threads",
          "scenario-array", "fractional-seed"],
 )

@@ -52,6 +52,11 @@ class TestGridScheme:
         with pytest.raises(ValueError):
             grid_scheme([1.0], [0.0], 2)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308), (0.0, math.nan)])
+    def test_unbounded_box_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite span"):
+            grid_scheme([lo], [hi], 2)
+
     def test_roundtrip_dict(self):
         scheme = grid_scheme([-5.0, 0.0], [5.0, 4.0], 3, binary_dims=1)
         from cemlogrank.matching import CoarseningScheme
