@@ -9,8 +9,11 @@ class DatasetFormatError(CemLogrankError):
     """Malformed dataset file (bad header, unparseable row, invalid value)."""
 
 
-class ConfigError(CemLogrankError):
-    """Invalid configuration: bad schema, out-of-range value, dimension mismatch."""
+class ConfigError(CemLogrankError, ValueError):
+    """Invalid configuration: bad schema, out-of-range value, dimension mismatch.
+
+    Raised by the type that owns each input check; a ValueError too, so code
+    that catches ValueError still sees it."""
 
 
 class SeparationError(CemLogrankError):

@@ -7,15 +7,16 @@ gathered in replicate order, so the worker count can never change any output.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
 from scipy import stats
 
+from .errors import ConfigError
 from .iptw import fit_logistic, iptw_logrank, iptw_weights
-from .logrank import Direction, run_test
-from .matching import grid_scheme, match
+from .logrank import Direction, check_decision, run_test
+from .matching import MAX_BINS, grid_scheme, match
 from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
 from .util import require_int
 
@@ -23,11 +24,17 @@ Method = Literal["cem", "iptw", "both"]
 
 IPTW_FEATURES = (0, 1)  # intercept plus the first two covariates
 
+# Ceiling on worker processes: under fork the pool starts all of them at once.
+MAX_THREADS = 64
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one replicated experiment needs, defaults matching the
-    standard scenario: covariate box [-5, 5]^3, bin count floor(n^theta)."""
+    standard scenario: covariate box [-5, 5]^3, bin count floor(n^theta).
+
+    ``scheme``, the matching grid, is built once from the fields and is not
+    itself a field."""
 
     scenario: Scenario
     replications: int = 300
@@ -43,39 +50,32 @@ class ExperimentConfig:
         object.__setattr__(self, "box_lo", tuple(map(float, self.box_lo)))
         object.__setattr__(self, "box_hi", tuple(map(float, self.box_hi)))
         require_int("replications", self.replications, 1)
-        require_int("threads", self.threads, 1)
-        if not 0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        require_int("threads", self.threads, 1, MAX_THREADS)
+        check_decision(self.alpha, self.direction)
         if self.method not in ("cem", "iptw", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.direction not in ("upper", "lower", "two_sided"):
-            raise ValueError(f"unknown direction {self.direction!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if len(self.box_lo) != CONTINUOUS_DIMS or len(self.box_hi) != CONTINUOUS_DIMS:
-            raise ValueError(f"covariate box must have {CONTINUOUS_DIMS} dimensions")
-        if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in zip(self.box_lo, self.box_hi)):
-            raise ValueError("box_lo must be strictly below box_hi, a finite span apart")
+            raise ConfigError(f"covariate box must have {CONTINUOUS_DIMS} dimensions")
+        if not 0 < self.theta < math.inf:
+            raise ConfigError("theta must be positive and finite")
+        n = self.scenario.n
+        # n ** theta is formed only below the ceiling, so it cannot overflow
+        if self.theta * math.log(n) >= math.log(MAX_BINS + 1):
+            raise ConfigError(
+                f"theta {self.theta!r} at n = {n} asks for more than {MAX_BINS} bins per dimension"
+            )
+        bins = max(1, math.floor(n**self.theta))
+        object.__setattr__(self, "scheme", grid_scheme(self.box_lo, self.box_hi, bins, BINARY_DIMS))
 
     @property
     def bins_per_dim(self) -> int:
-        return max(1, int(math.floor(self.scenario.n**self.theta)))
+        return self.scheme.bins(0)
 
     def methods(self) -> tuple[str, ...]:
         return ("cem", "iptw") if self.method == "both" else (self.method,)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "replications": self.replications,
-            "method": self.method,
-            "box_lo": list(self.box_lo),
-            "box_hi": list(self.box_hi),
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "direction": self.direction,
-            "threads": self.threads,
-        }
+        return {**asdict(self), "box_lo": list(self.box_lo), "box_hi": list(self.box_hi)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -111,11 +111,8 @@ def run_replicate(config: ExperimentConfig, replicate: int) -> list[ReplicateRec
     records = []
     for method in config.methods():
         if method == "cem":
-            scheme = grid_scheme(
-                config.box_lo, config.box_hi, config.bins_per_dim, BINARY_DIMS
-            )
             result = run_test(
-                match(cohort, scheme),
+                match(cohort, config.scheme),
                 alpha=config.alpha,
                 direction=config.direction,
             )
@@ -245,9 +242,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every replicate, in parallel when asked, and summarize per method."""
     indices = range(config.replications)
-    if config.threads > 1:
-        chunk = max(1, config.replications // (4 * config.threads))
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    workers = min(config.threads, config.replications)
+    if workers > 1:
+        chunk = max(1, config.replications // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_replicate_task, [(config, r) for r in indices], chunksize=chunk))
     else:
         nested = [run_replicate(config, r) for r in indices]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import RankDeficiencyError, SeparationError, WeightOverflowError
+from .errors import ConfigError, RankDeficiencyError, SeparationError, WeightOverflowError
 from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result
 from .survival import Cohort, SubjectId, risk_set_sums
 from .util import pinv, pinv_array
@@ -74,9 +74,11 @@ class IptwWeights:
 
 def _design(cohort: Cohort, feature_selector: tuple[int, ...]) -> np.ndarray:
     xs = cohort.covariate_matrix
-    bad = [j for j in feature_selector if not 0 <= j < xs.shape[1]]
+    bad = [f"x{j + 1}" for j in feature_selector if not 0 <= j < xs.shape[1]]
     if bad:
-        raise ValueError(f"feature indices out of range: {bad}")
+        raise ConfigError(
+            f"feature columns {','.join(bad)} outside the dataset's {xs.shape[1]} covariates"
+        )
     return np.column_stack([np.ones(len(cohort))] + [xs[:, j] for j in feature_selector])
 
 
@@ -98,10 +100,10 @@ def fit_logistic(
     RankDeficiencyError.
     """
     selector = tuple(int(j) for j in feature_selector)
+    X = _design(cohort, selector)
     z = cohort.arms.astype(float)
     if z.min() == z.max():
         raise SeparationError("all subjects in one arm: logistic MLE diverges")
-    X = _design(cohort, selector)
 
     beta = np.zeros(X.shape[1])
     eta = X @ beta
@@ -230,11 +232,12 @@ def iptw_logrank(
 
     n1 = int(np.count_nonzero(z == 1))
     return _test_result(
-        float(path[-1]) if len(path) else 0.0,
+        times,
+        path,
         front_sq * math.fsum(var_terms.tolist()),
         alpha,
         direction,
-        tuple(zip(times.tolist(), path.tolist())) if include_path else None,
+        include_path,
         omega_n=None,
         n1=n1,
         n0=len(cohort) - n1,

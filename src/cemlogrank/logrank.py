@@ -20,6 +20,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .matching import MatchedCohort, omega_n_holds
 from .util import norm_cdf, norm_sf, pinv, pinv_array
 
@@ -43,11 +44,11 @@ class WeightFunction:
         object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) != len(self.breakpoints) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
+            raise ConfigError("need exactly one more value than breakpoints")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ConfigError("breakpoints must be strictly increasing")
         if any(not math.isfinite(v) for v in self.breakpoints + self.values):
-            raise ValueError("breakpoints and weight values must be finite")
+            raise ConfigError("breakpoints and weight values must be finite")
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightFunction":
@@ -131,6 +132,12 @@ def statistic_path(
     zero but their times still appear in the path.  An empty grid yields an
     empty path (statistic 0).
     """
+    times, path = _matched_path(mc, weight_fn)
+    return list(zip(times.tolist(), path.tolist()))
+
+
+def _matched_path(mc: MatchedCohort, weight_fn: WeightFunction | None):
+    """The event-grid times and the statistic path at them, as arrays."""
     wf = weight_fn or WeightFunction.constant()
     grid, step = mc.cohort.event_steps
     times = mc.cohort.time_axis[0][grid]
@@ -144,7 +151,7 @@ def statistic_path(
 
     # at time 0 both pooled totals equal n1
     kern = _kernel(float(mc.n1), float(mc.n1), y1, y0, wf.value_at(times))
-    return list(zip(times.tolist(), _path(kern, y1, y0, d1, d0).tolist()))
+    return times, _path(kern, y1, y0, d1, d0)
 
 
 def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None) -> float:
@@ -156,15 +163,22 @@ def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None
     return pinv(2.0 * mc.n1) * math.fsum((wf.value_at(cohort.times[treated_events]) ** 2).tolist())
 
 
-def _test_result(
-    statistic: float, variance: float, alpha: float, direction: Direction, path, **fields
-) -> TestResult:
-    """Standardize the statistic, compute its normal tail p-values and the
-    decision; ``fields`` carry the method's own counts and flags."""
+def check_decision(alpha: float, direction: Direction) -> None:
+    """ConfigError unless ``alpha`` lies in (0, 1) and ``direction`` is known."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+        raise ConfigError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+
+
+def _test_result(
+    times, path, variance: float, alpha: float, direction: Direction, include_path: bool, **fields
+) -> TestResult:
+    """Standardize the path's last value (0 for an empty grid), compute its
+    normal tail p-values and the decision; ``fields`` carry the method's own
+    counts and flags."""
+    check_decision(alpha, direction)
+    statistic = float(path[-1]) if len(path) else 0.0
     standardized = statistic * pinv(math.sqrt(variance))
     p_lower = norm_cdf(standardized)
     p_upper = norm_sf(standardized)
@@ -181,7 +195,7 @@ def _test_result(
         direction=direction,
         reject=p <= alpha,
         degenerate_variance=variance == 0.0,
-        path=path,
+        path=tuple(zip(times.tolist(), path.tolist())) if include_path else None,
         **fields,
     )
 
@@ -199,13 +213,14 @@ def run_test(
     a standardized statistic of 0 and sets the degenerate flag; it is never an
     error.
     """
-    path = statistic_path(mc, weight_fn)
+    times, path = _matched_path(mc, weight_fn)
     return _test_result(
-        path[-1][1] if path else 0.0,
+        times,
+        path,
         variance_estimate(mc, weight_fn),
         alpha,
         direction,
-        tuple(path) if include_path else None,
+        include_path,
         omega_n=omega_n_holds(mc),
         n1=mc.n1,
         n0=mc.n0,

@@ -15,12 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .survival import Cohort, SubjectId, risk_set_sums
-from .util import pinv
+from .util import pinv, require_int
 
 # Bin index per continuous dimension followed by the literal value of each
 # binary dimension; identifies exactly one cell of the partition.
 StratumId = tuple[int, ...]
+
+# Ceiling on a uniform grid's bins per continuous dimension: grid_scheme
+# materializes every edge, so the ceiling bounds its memory.
+MAX_BINS = 10**6
 
 
 class MatchReason(enum.Enum):
@@ -50,15 +55,14 @@ class CoarseningScheme:
         )
         for edges in self.continuous_edges:
             if len(edges) < 2:
-                raise ValueError("each continuous dimension needs at least 2 edges")
+                raise ConfigError("each continuous dimension needs at least 2 edges")
             if any(not math.isfinite(e) for e in edges):
-                raise ValueError("bin edges must be finite")
+                raise ConfigError("bin edges must be finite")
             if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValueError("bin edges must be strictly increasing")
-        if self.binary_dims < 0:
-            raise ValueError("binary_dims must be nonnegative")
+                raise ConfigError("bin edges must be strictly increasing")
+        require_int("binary_dims", self.binary_dims, 0)
         if self.dimension == 0:
-            raise ValueError("scheme must cover at least one dimension")
+            raise ConfigError("scheme must cover at least one dimension")
 
     @property
     def continuous_dims(self) -> int:
@@ -89,13 +93,10 @@ class CoarseningScheme:
         if "continuous_edges" in data:
             return cls(
                 continuous_edges=tuple(tuple(e) for e in data["continuous_edges"]),
-                binary_dims=int(data.get("binary_dims", 0)),
+                binary_dims=data.get("binary_dims", 0),
             )
         return grid_scheme(
-            data["box_lo"],
-            data["box_hi"],
-            int(data["bins_per_dim"]),
-            int(data.get("binary_dims", 0)),
+            data["box_lo"], data["box_hi"], data["bins_per_dim"], data.get("binary_dims", 0)
         )
 
 
@@ -105,16 +106,15 @@ def grid_scheme(
     bins_per_dim: int,
     binary_dims: int = 0,
 ) -> CoarseningScheme:
-    """Uniform partition: ``bins_per_dim`` half-open bins per continuous
-    dimension across the box, crossed with all binary values."""
-    if bins_per_dim < 1:
-        raise ValueError("bins_per_dim must be at least 1")
+    """Uniform partition: ``bins_per_dim`` (at most MAX_BINS) half-open bins
+    per continuous dimension across the box, crossed with all binary values."""
+    require_int("bins_per_dim", bins_per_dim, 1, MAX_BINS)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError("box_lo and box_hi must be equal-length vectors")
+        raise ConfigError("box_lo and box_hi must be equal-length vectors")
     if not all(a < b and math.isfinite(b - a) for a, b in zip(lo.tolist(), hi.tolist())):
-        raise ValueError("box_lo must be strictly below box_hi, a finite span apart")
+        raise ConfigError("box_lo must be strictly below box_hi, a finite span apart")
     edges = tuple(
         tuple(np.linspace(lo[j], hi[j], bins_per_dim + 1).tolist()) for j in range(len(lo))
     )
@@ -294,8 +294,8 @@ def match(cohort: Cohort, scheme: CoarseningScheme) -> MatchedCohort:
     legal, flagged outcome, not an error."""
     xs = cohort.covariate_matrix
     if xs.shape[1] != scheme.dimension:
-        raise ValueError(
-            f"scheme covers {scheme.dimension} dimensions but subjects have {xs.shape[1]}"
+        raise ConfigError(
+            f"dataset has {xs.shape[1]} covariates but the scheme covers {scheme.dimension}"
         )
     codes, valid = _assign_codes(scheme, xs)
     arms = cohort.arms[valid]

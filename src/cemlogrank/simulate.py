@@ -8,12 +8,13 @@ keyed by (seed, r), so parallel execution order can never change the data.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
 from scipy.special import expit
 
+from .errors import ConfigError
 from .survival import Cohort
 from .util import require_int
 
@@ -70,17 +71,17 @@ class Scenario:
         require_int("n", self.n, 2)
         require_int("seed", self.seed, 0)
         if self.assignment_model not in ("model1", "model2"):
-            raise ValueError(f"unknown assignment model {self.assignment_model!r}")
+            raise ConfigError(f"unknown assignment model {self.assignment_model!r}")
         if self.hypothesis not in ("null", "alternative"):
-            raise ValueError(f"unknown hypothesis {self.hypothesis!r}")
+            raise ConfigError(f"unknown hypothesis {self.hypothesis!r}")
         # a baseline of -inf is a zero hazard
         if not (all(map(math.isfinite, (self.treatment_log_hazard, self.covariate_log_hazard)))
                 and self.baseline_log_hazard < math.inf):
-            raise ValueError("log-hazards must be finite, apart from a baseline of -inf")
+            raise ConfigError("log-hazards must be finite, apart from a baseline of -inf")
         if not 0 < self.censor_upper < math.inf:
-            raise ValueError("censor_upper must be positive and finite")
+            raise ConfigError("censor_upper must be positive and finite")
         if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
+            raise ConfigError("horizon must be positive and finite")
 
     def hazard_model(self) -> HazardModel:
         """Hazard of the generated outcomes; the arm effect vanishes under the null."""
@@ -92,17 +93,7 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "assignment_model": self.assignment_model,
-            "hypothesis": self.hypothesis,
-            "treatment_log_hazard": self.treatment_log_hazard,
-            "covariate_log_hazard": self.covariate_log_hazard,
-            "baseline_log_hazard": self.baseline_log_hazard,
-            "censor_upper": self.censor_upper,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

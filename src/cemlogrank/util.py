@@ -7,6 +7,8 @@ import numbers
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def pinv(x: float) -> float:
     """Total reciprocal: 1/x for nonzero x, 0.0 for x == 0.
@@ -22,10 +24,13 @@ def pinv_array(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=np.zeros_like(x, dtype=float), where=x != 0.0)
 
 
-def require_int(name: str, value, minimum: int) -> None:
-    """ValueError unless ``value`` is an integer (a bool is not) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_int(name: str, value, minimum: int, maximum: float = math.inf) -> None:
+    """ConfigError unless ``value`` is an integer (a bool is not) in
+    [``minimum``, ``maximum``]."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and minimum <= value <= maximum):
+        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def canonical_json(obj) -> str:

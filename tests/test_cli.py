@@ -263,6 +263,37 @@ class TestFlagValidation:
         assert "Traceback" not in err
 
 
+class TestLibraryChecksExit2:
+    """Values the library's own checks reject exit 2 with one error line;
+    ``{w}`` stands for the work directory.  No case starts a worker."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "1", "--output", "{w}/x.csv"],
+            ["experiment", "--config", "{w}/config.json", "--theta", "1000", "--output-dir", "{w}/o"],
+            ["experiment", "--config", "{w}/config.json", "--threads", "0", "--output-dir", "{w}/o"],
+            ["experiment", "--config", "{w}/config.json", "--seed", "-1", "--output-dir", "{w}/o"],
+            ["test", "{w}/data.csv", "--method", "iptw", "--features", "x9"],
+            ["test", "{w}/narrow.csv", "--scheme", "{w}/scheme.json"],
+        ],
+        ids=["simulate-n", "theta", "threads", "seed", "features", "dimension"],
+    )
+    def test_exit_2_with_one_error_line(self, workdir, capsys, argv):
+        simulate(workdir, n=100)
+        (workdir / "narrow.csv").write_text("id,x1,z,time,event\na,0.5,1,1.0,1\nb,0.4,0,2.0,1\n")
+        (workdir / "config.json").write_text(
+            json.dumps({"scenario": {"n": 200, "seed": 5}, "replications": 2})
+        )
+        capsys.readouterr()
+        code = main([a.format(w=workdir) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert not (workdir / "o").exists()
+
+
 class TestUnusablePaths:
     """A path that cannot be opened, read or written exits 2 with an error
     line naming it; ``{w}`` stands for the work directory."""
@@ -435,10 +466,15 @@ def test_hostile_json_keeps_the_exit_code_contract(hostile_workdir, document):
         ("experiment", with_fields("experiment", threads=1.5)),
         ("simulate", [1]),
         ("simulate", with_fields("simulate", seed=1.5)),
+        ("scheme", with_fields("scheme", bins_per_dim=2.9)),
+        ("scheme", with_fields("scheme", binary_dims=1.7)),
+        ("scheme", with_fields("scheme", bins_per_dim=10**6 + 1)),
+        ("experiment", with_fields("experiment", theta=1000)),
     ],
     ids=["weight-fn-array", "nan-breakpoint", "infinite-bins", "infinite-box", "deep-array", "fractional-n",
          "huge-n", "negative-seed", "fractional-replications", "fractional-threads",
-         "scenario-array", "fractional-seed"],
+         "scenario-array", "fractional-seed", "fractional-bins", "fractional-binary-dims",
+         "bins-over-ceiling", "theta-overflow"],
 )
 def test_invalid_json_document_exits_2_naming_the_file(hostile_workdir, kind, doc):
     code, err = run_on_document(hostile_workdir, kind, render(doc))
