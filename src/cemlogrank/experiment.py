@@ -8,17 +8,17 @@ gathered in replicate order, so the worker count can never change any output.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from statistics import NormalDist
 from typing import Literal, Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError
 from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import Direction, check_decision, run_test
 from .matching import MAX_BINS, grid_scheme, match
 from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
-from .util import require_int
+from .util import norm_cdf, require_int
 
 Method = Literal["cem", "iptw", "both"]
 
@@ -178,29 +178,48 @@ class MethodSummary:
         return dict(self.__dict__)
 
 
+def _skew(vals: np.ndarray) -> Optional[float]:
+    """Biased sample skewness m3 / m2^1.5, or None when the spread is zero
+    at the mean's precision: m2 <= (eps * mean)^2."""
+    mean = vals.mean()
+    dev = vals - mean
+    m2 = np.mean(dev * dev)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return None
+    return float(np.mean(dev * dev * dev) / m2**1.5)
+
+
+def _ks_distance(sorted_vals: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of sorted values from N(0, 1)."""
+    m = len(sorted_vals)
+    cdf = np.array([norm_cdf(v) for v in sorted_vals.tolist()])
+    steps = np.arange(m + 1) / m
+    return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
+
+
 def summarize_method(
     records: list[ReplicateRecord], config: ExperimentConfig
 ) -> MethodSummary:
     vals = np.array([r.statistic for r in records], dtype=float)
     m = len(vals)
     alpha = config.alpha
-    z_lower = float(stats.norm.ppf(alpha))
+    normal = NormalDist()
+    z_lower = normal.inv_cdf(alpha)
     omegas = [r.omega_n for r in records if r.omega_n is not None]
     n = config.scenario.n
     exps = [math.log(r.n1) / math.log(n) for r in records if r.n1 > 0]
 
     if m >= 2:
+        ordered = np.sort(vals)
         sd = float(np.std(vals, ddof=1))
-        skewness = float(stats.skew(vals))
-        ks = float(stats.kstest(vals, "norm").statistic)
+        skewness = _skew(vals)
+        ks = _ks_distance(ordered)
         var_w = float(np.var([r.w_tau for r in records], ddof=1))
         counts, edges = np.histogram(vals, bins="fd")
         hist_edges = [float(e) for e in edges]
         hist_counts = [int(c) for c in counts]
-        qq_theory = [
-            float(stats.norm.ppf((i - 0.5) / m)) for i in range(1, m + 1)
-        ]
-        qq_sample = [float(v) for v in np.sort(vals)]
+        qq_theory = [normal.inv_cdf((i - 0.5) / m) for i in range(1, m + 1)]
+        qq_sample = ordered.tolist()
     else:
         sd = skewness = ks = var_w = None
         hist_edges = hist_counts = qq_theory = qq_sample = None

@@ -10,12 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, RankDeficiencyError, SeparationError, WeightOverflowError
 from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result
 from .survival import Cohort, SubjectId, risk_set_sums
-from .util import pinv, pinv_array
+from .util import expit, pinv, pinv_array
 
 SCORE_TOL = 1e-10
 STEP_TOL = 1e-12

@@ -12,11 +12,10 @@ from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 from .survival import Cohort
-from .util import require_int
+from .util import expit, require_int
 
 AssignmentModel = Literal["model1", "model2"]
 Hypothesis = Literal["null", "alternative"]

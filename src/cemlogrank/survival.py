@@ -88,12 +88,15 @@ class Cohort:
     def from_columns(cls, ids, covariates, arms, times, events, horizon: float) -> "Cohort":
         """Cohort from per-subject columns: ids, an n x d covariate matrix,
         0/1 arms, nonnegative finite times and event flags.  The arrays are
-        copied."""
+        copied.  A ``range`` of ids is unique by construction, so only other
+        ids are scanned for duplicates."""
         cohort = cls.__new__(cls)
-        cohort._set_columns(tuple(ids), covariates, arms, times, events, horizon)
+        cohort._set_columns(ids, covariates, arms, times, events, horizon)
         return cohort
 
     def _set_columns(self, ids, covariates, arms, times, events, horizon) -> None:
+        ids_unique = isinstance(ids, range)
+        ids = tuple(ids)
         n = len(ids)
         if n == 0:
             raise ValueError("cohort must contain at least one subject")
@@ -109,7 +112,7 @@ class Cohort:
             raise ValueError(
                 f"observed_time must be finite and nonnegative, got {times[bad][0].item()!r}"
             )
-        if len(set(ids)) != n:
+        if not ids_unique and len(set(ids)) != n:
             raise ValueError("subject ids must be unique")
         covariates = np.array(covariates, dtype=float)
         if covariates.ndim != 2:

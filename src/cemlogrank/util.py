@@ -43,6 +43,13 @@ def fingerprint(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def expit(x):
+    """Logistic sigmoid 1 / (1 + e^-x), elementwise.  Where e^-x overflows
+    (x below about -709.78) the value is 0.0, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def norm_cdf(x: float) -> float:
     """Standard normal CDF, exact to double precision via erfc."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))

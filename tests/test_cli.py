@@ -3,6 +3,10 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +50,14 @@ class TestSimulate:
         code = main(["simulate", "--output", str(workdir / "x.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy's import costs over a second of every command's cold start
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, cemlogrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMatch:
@@ -229,6 +241,19 @@ class TestExperiment:
         bad = workdir / "bad.json"
         bad.write_text("{not json")
         assert main(["experiment", "--config", str(bad)]) == 2
+
+    def test_summary_is_strict_json(self, workdir):
+        # n = 60 leaves a method whose two statistics are equal: no skewness
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps(VALID_DOCS["experiment"]))
+        out = workdir / "small"
+        assert main(["experiment", "--config", str(cfg), "--output-dir", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"summary.json holds the non-JSON token {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert None in (s["skewness"] for s in summary["methods"].values())
 
 
 class TestFlagValidation:

@@ -110,6 +110,12 @@ class TestColumns:
         with pytest.raises(TypeError):
             cohort.subjects[0] = None
 
+    def test_range_ids_give_the_tuple_id_cohort(self):
+        columns = (np.zeros((3, 1)), [1, 0, 1], [1.0, 2.0, 3.0], [True, False, True], 5.0)
+        cohort = Cohort.from_columns(range(3), *columns)
+        assert cohort.ids == (0, 1, 2)
+        assert cohort == Cohort.from_columns((0, 1, 2), *columns)
+
     def test_columns_are_copied(self):
         times = np.array([1.0, 2.0])
         cohort = Cohort.from_columns((0, 1), np.zeros((2, 1)), [1, 0], times, [True, True], 3.0)
