@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--threads", type=int)
     exp.add_argument("--method", choices=["cem", "iptw", "both"])
     exp.add_argument("--alpha", type=float)
-    exp.add_argument("--direction", choices=["upper", "lower", "two_sided"])
     exp.add_argument("--theta", type=float)
     exp.add_argument("--replications", type=int)
     exp.add_argument("--output-dir", type=Path, default=Path("."))
@@ -196,7 +195,7 @@ def _parse_features(text: str) -> tuple[int, ...]:
 def cmd_experiment(args) -> int:
     config = dataio.load_experiment_config(args.config)
     updates = {}
-    for name in ("threads", "method", "alpha", "direction", "theta", "replications"):
+    for name in ("threads", "method", "alpha", "theta", "replications"):
         value = getattr(args, name)
         if value is not None:
             updates[name] = value

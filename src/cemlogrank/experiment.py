@@ -5,6 +5,7 @@ Replicate r always draws from the stream keyed by (seed, r) and results are
 gathered in replicate order, so the worker count can never change any output.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .iptw import fit_logistic, iptw_logrank, iptw_weights
-from .logrank import Direction, check_decision, run_test
+from .logrank import check_decision, run_test
 from .matching import MAX_BINS, grid_scheme, match
 from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
 from .util import norm_cdf, require_int
@@ -43,7 +44,6 @@ class ExperimentConfig:
     box_hi: tuple[float, ...] = (5.0, 5.0, 5.0)
     theta: float = 0.3
     alpha: float = 0.05
-    direction: Direction = "two_sided"
     threads: int = 1
 
     def __post_init__(self):
@@ -51,7 +51,7 @@ class ExperimentConfig:
         object.__setattr__(self, "box_hi", tuple(map(float, self.box_hi)))
         require_int("replications", self.replications, 1)
         require_int("threads", self.threads, 1, MAX_THREADS)
-        check_decision(self.alpha, self.direction)
+        check_decision(self.alpha)
         if self.method not in ("cem", "iptw", "both"):
             raise ConfigError(f"unknown method {self.method!r}")
         if len(self.box_lo) != CONTINUOUS_DIMS or len(self.box_hi) != CONTINUOUS_DIMS:
@@ -110,20 +110,12 @@ def run_replicate(config: ExperimentConfig, replicate: int) -> list[ReplicateRec
     treated_total = cohort.arm_count(1)
     records = []
     for method in config.methods():
+        # records keep the p-values, not the decision: default alpha suffices
         if method == "cem":
-            result = run_test(
-                match(cohort, config.scheme),
-                alpha=config.alpha,
-                direction=config.direction,
-            )
+            result = run_test(match(cohort, config.scheme))
         else:
             model = fit_logistic(cohort, IPTW_FEATURES)
-            result = iptw_logrank(
-                cohort,
-                iptw_weights(model, cohort),
-                alpha=config.alpha,
-                direction=config.direction,
-            )
+            result = iptw_logrank(cohort, iptw_weights(model, cohort))
         records.append(
             ReplicateRecord(
                 replicate=replicate,
@@ -265,7 +257,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if workers > 1:
         chunk = max(1, config.replications // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_replicate_task, [(config, r) for r in indices], chunksize=chunk))
+            nested = list(pool.map(run_replicate, itertools.repeat(config), indices, chunksize=chunk))
     else:
         nested = [run_replicate(config, r) for r in indices]
     records = [rec for group in nested for rec in group]
@@ -274,7 +266,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for method in config.methods()
     }
     return ExperimentResult(config=config, records=records, summaries=summaries)
-
-
-def _replicate_task(args: tuple[ExperimentConfig, int]) -> list[ReplicateRecord]:
-    return run_replicate(*args)

@@ -32,7 +32,6 @@ class LogisticModel:
 
     feature_selector: tuple[int, ...]
     coefficients: tuple[float, ...]
-    converged: bool
     iterations: int
     log_likelihood: float
 
@@ -40,7 +39,6 @@ class LogisticModel:
         return {
             "feature_columns": [f"x{j + 1}" for j in self.feature_selector],
             "coefficients": list(self.coefficients),
-            "converged": self.converged,
             "iterations": self.iterations,
             "log_likelihood": self.log_likelihood,
         }
@@ -67,9 +65,6 @@ class IptwWeights:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def by_id(self) -> dict[SubjectId, float]:
-        return dict(zip(self.ids, self.values.tolist()))
-
 
 def _design(cohort: Cohort, feature_selector: tuple[int, ...]) -> np.ndarray:
     xs = cohort.covariate_matrix
@@ -93,10 +88,10 @@ def fit_logistic(
 
     Newton-Raphson with step halving (up to 30 halvings when a step lowers the
     log-likelihood).  Converged when the score max-norm falls to 1e-10 or the
-    step norm to 1e-12, within 100 iterations.  Separation raises
-    SeparationError, whether caught as an empty arm, a diverging coefficient
-    norm, or fitted probabilities saturating at 0/1; a singular Hessian raises
-    RankDeficiencyError.
+    step norm to 1e-12.  No convergence within 100 iterations, an empty arm, a
+    diverging coefficient norm or fitted probabilities saturating at 0/1 mean
+    separation and raise SeparationError; a singular or overflowing Hessian
+    raises RankDeficiencyError.  So a returned model always met a tolerance.
     """
     selector = tuple(int(j) for j in feature_selector)
     X = _design(cohort, selector)
@@ -107,26 +102,26 @@ def fit_logistic(
     beta = np.zeros(X.shape[1])
     eta = X @ beta
     ll = _log_likelihood(eta, z)
-    converged = False
-    iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         p = expit(eta)
-        score = X.T @ (z - p)
-        if np.max(np.abs(score)) <= SCORE_TOL:
-            converged = True
-            iterations -= 1
-            break
-        w = p * (1.0 - p)
-        hessian = X.T @ (X * w[:, None])
+        # covariates near the float ceiling overflow here; checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = X.T @ (z - p)
+            if np.max(np.abs(score)) <= SCORE_TOL:
+                iterations -= 1
+                break
+            w = p * (1.0 - p)
+            hessian = X.T @ (X * w[:, None])
+        if not (np.isfinite(score).all() and np.isfinite(hessian).all()):
+            raise RankDeficiencyError("logistic fit overflowed: rescale the covariates")
         try:
             newton_step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"singular Hessian in logistic fit: {exc}") from exc
         if float(np.linalg.norm(newton_step)) <= STEP_TOL:
-            converged = True
             break
         # halve only on genuine decreases; the slack keeps float noise in a
-        # near-converged log-likelihood from strangling the step.  After
+        # log-likelihood near its maximum from strangling the step.  After
         # MAX_HALVINGS the last halved step is taken whatever its fit.
         floor = ll - 1e-10 * (1.0 + abs(ll))
         step = newton_step
@@ -141,6 +136,12 @@ def fit_logistic(
             raise SeparationError(
                 "logistic coefficients diverged: complete or quasi-complete separation"
             )
+    else:
+        # no finite MLE exists when Newton cannot reach one (Albert & Anderson 1984)
+        raise SeparationError(
+            f"logistic fit did not converge in {MAX_ITER} Newton iterations: "
+            "complete or quasi-complete separation"
+        )
 
     p = expit(eta)
     if np.any(p <= SATURATION_TOL) or np.any(p >= 1.0 - SATURATION_TOL):
@@ -150,7 +151,6 @@ def fit_logistic(
     return LogisticModel(
         feature_selector=selector,
         coefficients=tuple(float(b) for b in beta),
-        converged=converged,
         iterations=iterations,
         log_likelihood=ll,
     )
@@ -165,8 +165,6 @@ def predict_propensity(model: LogisticModel, cohort: Cohort) -> np.ndarray:
 def iptw_weights(model: LogisticModel, cohort: Cohort) -> IptwWeights:
     """Inverse-propensity weight per subject, in cohort order; no truncation
     is applied."""
-    if not model.converged:
-        raise ValueError("refusing to weight with an unconverged propensity model")
     p = predict_propensity(model, cohort)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise WeightOverflowError("fitted propensity reached 0 or 1")
@@ -195,16 +193,14 @@ def iptw_logrank(
     dNbar are the unweighted pooled at-risk and event counts, scaled by
     (Y1_0 + Y0_0) * pinv(Y1_0 * Y0_0), the squared front factor of the kernel,
     so degenerate all-ones weights reduce exactly to the classical log-rank.
+
+    ``weights`` must be in cohort order (``weights.ids == cohort.ids``), as
+    ``iptw_weights`` returns them; other weights raise ValueError.
     """
+    if weights.ids != cohort.ids:
+        raise ValueError("weights must be given for the cohort's subjects, in cohort order")
     wf = weight_fn or WeightFunction.constant()
-    if weights.ids == cohort.ids:
-        w = weights.values
-    else:
-        by_id = weights.by_id()
-        missing = [sid for sid in cohort.ids if sid not in by_id]
-        if missing:
-            raise ValueError(f"weights missing for {len(missing)} subjects (e.g. {missing[0]!r})")
-        w = np.array([by_id[sid] for sid in cohort.ids], dtype=float)
+    w = weights.values
     z = cohort.arms
     axis, rank = cohort.time_axis
     grid, step = cohort.event_steps

@@ -163,7 +163,7 @@ def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None
     return pinv(2.0 * mc.n1) * math.fsum((wf.value_at(cohort.times[treated_events]) ** 2).tolist())
 
 
-def check_decision(alpha: float, direction: Direction) -> None:
+def check_decision(alpha: float, direction: Direction = "two_sided") -> None:
     """ConfigError unless ``alpha`` lies in (0, 1) and ``direction`` is known."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")

@@ -117,6 +117,8 @@ class Cohort:
         covariates = np.array(covariates, dtype=float)
         if covariates.ndim != 2:
             raise ValueError("all subjects must share one covariate dimension")
+        if not np.isfinite(covariates).all():
+            raise ValueError("covariates must be finite")
         columns = {
             "covariate_matrix": covariates,
             "arms": arms.astype(np.int8),

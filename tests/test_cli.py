@@ -137,7 +137,7 @@ class TestTest:
         result = json.loads(capsys.readouterr().out)
         assert result["method"] == "iptw"
         model = result["model"]
-        assert model["converged"] is True
+        assert set(model) == {"feature_columns", "coefficients", "iterations", "log_likelihood"}
         assert model["feature_columns"] == ["x1", "x2"]
         assert len(model["coefficients"]) == 3
         assert result["omega_n"] is None
@@ -175,6 +175,21 @@ class TestTest:
         code = main(["test", str(data), "--method", "iptw"])
         assert code == 3
         assert "numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_overflowing_propensity_fit_is_numeric_error(self, workdir, capsys, scale):
+        # x1 stays finite, so the reader accepts it, but the fit's Hessian
+        # overflows; the suite turns a RuntimeWarning into an error as well
+        rows = [line.split(",") for line in simulate(workdir, n=200).read_text().splitlines()]
+        for row in rows[1:]:
+            row[1] = repr(float(row[1]) * scale)
+        data = workdir / "huge.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["test", str(data), "--method", "iptw"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert main(["test", str(data), "--scheme", str(workdir / "scheme.json")]) == 0
 
     @pytest.mark.parametrize("method", ["iptw", "cem"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -389,7 +404,7 @@ VALID_DOCS = {
                      "treatment_log_hazard": -0.4, "covariate_log_hazard": 0.25,
                      "baseline_log_hazard": -2.0, "censor_upper": 10.0, "horizon": 10.0},
         "replications": 2, "method": "both", "box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0],
-        "theta": 0.3, "alpha": 0.05, "direction": "two_sided", "threads": 1,
+        "theta": 0.3, "alpha": 0.05, "threads": 1,
     },
     "simulate": {"n": 60, "seed": 1, "horizon": 10.0, "censor_upper": 10.0},
 }
@@ -495,11 +510,12 @@ def test_hostile_json_keeps_the_exit_code_contract(hostile_workdir, document):
         ("scheme", with_fields("scheme", binary_dims=1.7)),
         ("scheme", with_fields("scheme", bins_per_dim=10**6 + 1)),
         ("experiment", with_fields("experiment", theta=1000)),
+        ("experiment", with_fields("experiment", direction="two_sided")),
     ],
     ids=["weight-fn-array", "nan-breakpoint", "infinite-bins", "infinite-box", "deep-array", "fractional-n",
          "huge-n", "negative-seed", "fractional-replications", "fractional-threads",
          "scenario-array", "fractional-seed", "fractional-bins", "fractional-binary-dims",
-         "bins-over-ceiling", "theta-overflow"],
+         "bins-over-ceiling", "theta-overflow", "removed-direction"],
 )
 def test_invalid_json_document_exits_2_naming_the_file(hostile_workdir, kind, doc):
     code, err = run_on_document(hostile_workdir, kind, render(doc))

@@ -22,6 +22,7 @@ from cemlogrank import (
     predict_propensity,
     run_test,
 )
+from cemlogrank import iptw
 from cemlogrank.oracle import classical_logrank
 
 
@@ -45,7 +46,6 @@ class TestFitLogistic:
     def test_intercept_only_closed_form(self):
         subjects = [subj(i, 1 if i < 30 else 0, 1.0, x=(0.0,)) for i in range(100)]
         model = fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=())
-        assert model.converged
         assert model.coefficients[0] == pytest.approx(math.log(0.3 / 0.7), abs=1e-10)
 
     def test_recovers_known_coefficients_within_three_se(self):
@@ -53,7 +53,6 @@ class TestFitLogistic:
         truth = (-1.0, 0.8, -0.5)
         cohort = bernoulli_cohort(rng, 100_000, truth)
         model = fit_logistic(cohort, feature_selector=(0, 1))
-        assert model.converged
         # observed-information standard errors at the fit
         xs = cohort.covariate_matrix
         X = np.column_stack([np.ones(len(xs)), xs[:, 0], xs[:, 1]])
@@ -79,12 +78,17 @@ class TestFitLogistic:
         for trial in range(5):
             cohort = bernoulli_cohort(rng, 500, (-0.5, 0.3, 0.9))
             model = fit_logistic(cohort, feature_selector=(0, 1))
-            assert model.converged
             xs = cohort.covariate_matrix
             X = np.column_stack([np.ones(len(xs)), xs[:, 0], xs[:, 1]])
             z = np.array([s.arm for s in cohort.subjects], dtype=float)
             score = X.T @ (z - predict_propensity(model, cohort))
             assert np.max(np.abs(score)) <= 1e-8
+
+    def test_iteration_budget_exhausted_raises_separation(self, monkeypatch):
+        cohort = bernoulli_cohort(np.random.default_rng(7), 500, (-0.5, 0.3, 0.9))
+        monkeypatch.setattr(iptw, "MAX_ITER", 1)
+        with pytest.raises(SeparationError, match="did not converge in 1 Newton iterations"):
+            fit_logistic(cohort, feature_selector=(0, 1))
 
     def test_feature_index_out_of_range(self):
         cohort = Cohort(subjects=(subj(0, 1, 1.0), subj(1, 0, 2.0)), horizon=10.0)
@@ -100,7 +104,6 @@ class TestIptwWeights:
         return LogisticModel(
             feature_selector=(),
             coefficients=(intercept,),
-            converged=True,
             iterations=1,
             log_likelihood=0.0,
         )
@@ -108,15 +111,15 @@ class TestIptwWeights:
     def test_quarter_propensity(self):
         cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         model = self._model_with_probs(cohort, math.log(0.25 / 0.75))
-        w = iptw_weights(model, cohort).by_id()
-        assert w["t"] == pytest.approx(4.0, rel=1e-12)
-        assert w["c"] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        t, c = iptw_weights(model, cohort).values
+        assert t == pytest.approx(4.0, rel=1e-12)
+        assert c == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_half_propensity_symmetric(self):
         cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         model = self._model_with_probs(cohort, 0.0)
-        w = iptw_weights(model, cohort).by_id()
-        assert w["t"] == pytest.approx(2.0) and w["c"] == pytest.approx(2.0)
+        t, c = iptw_weights(model, cohort).values
+        assert t == pytest.approx(2.0) and c == pytest.approx(2.0)
 
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(3)
@@ -124,14 +127,6 @@ class TestIptwWeights:
         model = fit_logistic(cohort, feature_selector=(0, 1))
         values = iptw_weights(model, cohort).values
         assert min(values) >= 1.0
-
-    def test_unconverged_model_rejected(self):
-        from cemlogrank.iptw import LogisticModel
-
-        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
-        model = LogisticModel((), (0.0,), converged=False, iterations=100, log_likelihood=0.0)
-        with pytest.raises(ValueError):
-            iptw_weights(model, cohort)
 
     def test_horvitz_thompson_identity(self):
         rng = np.random.default_rng(2025)

@@ -49,7 +49,6 @@ OWNER_CHECKS = {
     "config-threads-ceiling": lambda c: ExperimentConfig(Scenario(n=200), threads=MAX_THREADS + 1),
     "config-replications": lambda c: ExperimentConfig(Scenario(n=200), replications=2.5),
     "config-alpha": lambda c: ExperimentConfig(Scenario(n=200), alpha=1.0),
-    "config-direction": lambda c: ExperimentConfig(Scenario(n=200), direction="left"),
     "config-method": lambda c: ExperimentConfig(Scenario(n=200), method="all"),
     "config-box-dims": lambda c: ExperimentConfig(Scenario(n=200), box_lo=(0.0,) * 2),
     "config-box-span": lambda c: ExperimentConfig(Scenario(n=200), box_hi=(5.0, 5.0, -5.0)),
