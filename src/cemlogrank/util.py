@@ -34,8 +34,10 @@ def require_int(name: str, value, minimum: int, maximum: float = math.inf) -> No
 
 
 def canonical_json(obj) -> str:
-    """Stable serialization used for fingerprints: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Stable serialization used for fingerprints: sorted keys, no whitespace.
+    Non-finite floats are written as the reports write them (``-Infinity``),
+    since a config may hold one: a baseline log-hazard of -inf."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def fingerprint(obj) -> str:

@@ -270,6 +270,17 @@ class TestExperiment:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert None in (s["skewness"] for s in summary["methods"].values())
 
+    def test_zero_baseline_hazard_is_echoed_and_fingerprinted(self, workdir):
+        # a baseline_log_hazard of -Infinity (a zero hazard) is a valid config;
+        # its report echoes the value as read, and its fingerprint hashes it
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps(with_fields("experiment", baseline_log_hazard=-math.inf)))
+        out = workdir / "zero-hazard"
+        assert main(["experiment", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["scenario"]["baseline_log_hazard"] == -math.inf
+        assert len(summary["config_fingerprint"]) == 64
+
 
 class TestFlagValidation:
     """Out-of-range flags exit 2 with an error line naming the flag."""

@@ -54,6 +54,16 @@ class TestNoRecordsOnProductionPaths:
         assert len(mc.stratum_of) == 500
         assert mc.unmatched_count == 500 - mc.n1 - mc.n0
 
+    def test_aligned_weights_skip_the_id_lookup(self, monkeypatch):
+        # weights come back in cohort order, so the IPTW test reads them by
+        # position: there is no id lookup, and no SubjectRecord is built
+        cohort = generate(Scenario(n=400, seed=4))
+        weights = iptw_weights(fit_logistic(cohort), cohort)
+        assert weights.ids == cohort.ids
+        assert not hasattr(IptwWeights, "by_id")
+        records_forbidden(monkeypatch)
+        iptw_logrank(cohort, weights)
+
 
 class TestColumns:
     def records(self):
