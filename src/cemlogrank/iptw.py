@@ -14,13 +14,12 @@ import numpy as np
 from .errors import ConfigError, RankDeficiencyError, SeparationError, WeightOverflowError
 from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result
 from .survival import Cohort, SubjectId, risk_set_sums
-from .util import expit, pinv, pinv_array
+from .util import expit, pinv, pinv_array, require_int
 
 SCORE_TOL = 1e-10
 STEP_TOL = 1e-12
 MAX_ITER = 100
 MAX_HALVINGS = 30
-DIVERGENCE_NORM = 1e4
 # a fitted probability this close to 0 or 1 means the odds left double
 # precision: the MLE is drifting to infinity along a separating direction
 SATURATION_TOL = 1e-8
@@ -68,11 +67,12 @@ class IptwWeights:
 
 def _design(cohort: Cohort, feature_selector: tuple[int, ...]) -> np.ndarray:
     xs = cohort.covariate_matrix
-    bad = [f"x{j + 1}" for j in feature_selector if not 0 <= j < xs.shape[1]]
-    if bad:
-        raise ConfigError(
-            f"feature columns {','.join(bad)} outside the dataset's {xs.shape[1]} covariates"
-        )
+    for k, j in enumerate(feature_selector):
+        require_int("feature column index", j, 0)
+        if j >= xs.shape[1]:
+            raise ConfigError(f"feature column x{j + 1} outside the dataset's {xs.shape[1]} covariates")
+        if j in feature_selector[:k]:
+            raise ConfigError(f"feature column x{j + 1} selected twice")
     return np.column_stack([np.ones(len(cohort))] + [xs[:, j] for j in feature_selector])
 
 
@@ -88,12 +88,12 @@ def fit_logistic(
 
     Newton-Raphson with step halving (up to 30 halvings when a step lowers the
     log-likelihood).  Converged when the score max-norm falls to 1e-10 or the
-    step norm to 1e-12.  No convergence within 100 iterations, an empty arm, a
-    diverging coefficient norm or fitted probabilities saturating at 0/1 mean
-    separation and raise SeparationError; a singular or overflowing Hessian
-    raises RankDeficiencyError.  So a returned model always met a tolerance.
+    step norm to 1e-12.  An empty arm, no convergence within 100 iterations or
+    fitted probabilities saturating at 0/1 mean separation, whatever the
+    covariates' units, and raise SeparationError; a singular or overflowing
+    Hessian raises RankDeficiencyError.  So a returned model met a tolerance.
     """
-    selector = tuple(int(j) for j in feature_selector)
+    selector = tuple(feature_selector)
     X = _design(cohort, selector)
     z = cohort.arms.astype(float)
     if z.min() == z.max():
@@ -118,8 +118,9 @@ def fit_logistic(
             newton_step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"singular Hessian in logistic fit: {exc}") from exc
-        if float(np.linalg.norm(newton_step)) <= STEP_TOL:
-            break
+        with np.errstate(over="ignore"):  # an overflowing norm is not converged
+            if float(np.linalg.norm(newton_step)) <= STEP_TOL:
+                break
         # halve only on genuine decreases; the slack keeps float noise in a
         # log-likelihood near its maximum from strangling the step.  After
         # MAX_HALVINGS the last halved step is taken whatever its fit.
@@ -132,10 +133,6 @@ def fit_logistic(
                 break
             step = 0.5 * step
         beta = beta + step
-        if np.max(np.abs(beta)) > DIVERGENCE_NORM:
-            raise SeparationError(
-                "logistic coefficients diverged: complete or quasi-complete separation"
-            )
     else:
         # no finite MLE exists when Newton cannot reach one (Albert & Anderson 1984)
         raise SeparationError(

@@ -27,6 +27,10 @@ from .util import norm_cdf, norm_sf, pinv, pinv_array
 Direction = Literal["upper", "lower", "two_sided"]
 _DIRECTIONS = ("upper", "lower", "two_sided")
 
+# Ceiling on a weight function's |value|: the variances sum squared values
+# over a cohort's event times, which stays finite below this.
+MAX_WEIGHT = 1e100
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -34,7 +38,8 @@ class WeightFunction:
 
     ``values`` has one more entry than ``breakpoints``; value ``values[k]``
     applies on the interval (breakpoints[k-1], breakpoints[k]] (with open ends
-    at the extremes).  The constant-1 function recovers the plain statistic.
+    at the extremes).  Each value lies within +-MAX_WEIGHT.  The constant-1
+    function recovers the plain statistic.
     """
 
     breakpoints: tuple[float, ...] = ()
@@ -49,6 +54,8 @@ class WeightFunction:
             raise ConfigError("breakpoints must be strictly increasing")
         if any(not math.isfinite(v) for v in self.breakpoints + self.values):
             raise ConfigError("breakpoints and weight values must be finite")
+        if any(abs(v) > MAX_WEIGHT for v in self.values):
+            raise ConfigError(f"weight values must lie in [-{MAX_WEIGHT:g}, {MAX_WEIGHT:g}]")
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightFunction":

@@ -6,11 +6,14 @@ between this module and the main path is real evidence, not self-confirmation.
 Shipped with the library so users can re-run the cross-checks on their data.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .logrank import WeightFunction
-from .matching import MatchedCohort
+from .matching import MatchedCohort, MatchReason
 from .simulate import HazardModel, Scenario, generate
 from .survival import Cohort, EventGrid, SubjectRecord
 from .util import pinv
@@ -147,27 +150,64 @@ def martingale_residual_mean(scenario: Scenario, replications: int) -> Martingal
 # defining sums.  O(n^2) per time point; test-scale inputs only.
 
 
+@functools.lru_cache(maxsize=8)
+def stratum_by_comparison(mc: MatchedCohort) -> Mapping:
+    """Every subject id mapped to the StratumId of its matched cell, or else
+    to the MatchReason it was left out, each cell found by comparing every
+    covariate with every bin edge of the scheme under the (lo, hi] rule and
+    every binary covariate with exactly 0 and 1.
+
+    Cached for the last few matched cohorts, which hash by identity; the
+    mapping is read-only because every caller shares it.
+    """
+    scheme = mc.scheme
+
+    def cell_of(x) -> tuple[int, ...] | None:
+        bins = [[k for k in range(len(e) - 1) if e[k] < v <= e[k + 1]]
+                for v, e in zip(x, scheme.continuous_edges)]
+        binary = x[scheme.continuous_dims:]
+        if all(bins) and all(v == 0.0 or v == 1.0 for v in binary):
+            return tuple(b[0] for b in bins) + tuple(int(v) for v in binary)
+        return None
+
+    cells = {s.id: cell_of(s.covariates) for s in mc.cohort.subjects}
+    arms_in = {}
+    for s in mc.cohort.subjects:
+        arms_in.setdefault(cells[s.id], set()).add(s.arm)
+    return MappingProxyType({
+        sid: MatchReason.OUTSIDE_REGION if cell is None
+        else cell if arms_in[cell] == {0, 1}
+        else MatchReason.NO_CROSS_ARM_PARTNER
+        for sid, cell in cells.items()
+    })
+
+
+def _matched(mc: MatchedCohort, subject: SubjectRecord) -> bool:
+    return not isinstance(stratum_by_comparison(mc)[subject.id], MatchReason)
+
+
 def _naive_cellmates(mc: MatchedCohort, cell) -> list[SubjectRecord]:
-    return [s for s in mc.cohort.subjects if mc.stratum_of[s.id] == cell]
+    strata = stratum_by_comparison(mc)
+    return [s for s in mc.cohort.subjects if strata[s.id] == cell]
 
 
 def _naive_weight(mc: MatchedCohort, subject: SubjectRecord, t: float) -> float:
-    if subject.id in mc.g1:
+    cell = stratum_by_comparison(mc)[subject.id]
+    if isinstance(cell, MatchReason):
+        return 0.0
+    if subject.arm == 1:
         return 1.0
-    if subject.id in mc.g0:
-        mates = _naive_cellmates(mc, mc.stratum_of[subject.id])
-        den = sum(1.0 for m in mates if m.arm == 0 and m.observed_time >= t)
-        num = sum(1.0 for m in mates if m.arm == 1 and m.observed_time >= t)
-        return pinv(den) * num
-    return 0.0
+    mates = _naive_cellmates(mc, cell)
+    den = sum(1.0 for m in mates if m.arm == 0 and m.observed_time >= t)
+    num = sum(1.0 for m in mates if m.arm == 1 and m.observed_time >= t)
+    return pinv(den) * num
 
 
 def _naive_pooled(mc: MatchedCohort, arm: int, t: float) -> float:
-    members = mc.g1 if arm == 1 else mc.g0
     return math.fsum(
         _naive_weight(mc, s, t) * (1.0 if s.observed_time >= t else 0.0)
         for s in mc.cohort.subjects
-        if s.id in members
+        if s.arm == arm and _matched(mc, s)
     )
 
 
@@ -188,8 +228,8 @@ def statistic_by_enumeration(mc: MatchedCohort, weight_fn: WeightFunction | None
         y0 = _naive_pooled(mc, 0, t)
         k = front * pinv(y1 + y0) * y1 * y0 * wf.value_at(t)
         events = [s for s in subjects if s.event and s.observed_time == t]
-        dn1 = math.fsum(_naive_weight(mc, s, t) for s in events if s.id in mc.g1)
-        dn0 = math.fsum(_naive_weight(mc, s, t) for s in events if s.id in mc.g0)
+        dn1 = math.fsum(_naive_weight(mc, s, t) for s in events if s.arm == 1 and _matched(mc, s))
+        dn0 = math.fsum(_naive_weight(mc, s, t) for s in events if s.arm == 0 and _matched(mc, s))
         terms.append(k * (pinv(y1) * dn1 - pinv(y0) * dn0))
     return math.fsum(terms)
 
@@ -229,7 +269,7 @@ def statistic_decomposition(
     wf = weight_fn or WeightFunction.constant()
     tau = mc.cohort.horizon
     subjects = mc.cohort.subjects
-    matched = [s for s in subjects if s.id in mc.g1 or s.id in mc.g0]
+    matched = [s for s in subjects if _matched(mc, s)]
 
     y1_0 = _naive_pooled(mc, 1, 0.0)
     y0_0 = _naive_pooled(mc, 0, 0.0)

@@ -43,10 +43,13 @@ class HazardModel:
     covariate_effect: float = 0.25
 
     def rate(self, x, z):
-        """Hazard rate of one covariate row, or of each row of a matrix."""
-        return np.exp(
-            self.log_baseline + self.arm_effect * z + self.covariate_effect * np.sum(x, axis=-1)
-        )
+        """Hazard rate of one covariate row, or of each row of a matrix.  A
+        log-rate above the float range gives an infinite rate, one below it
+        a zero rate, as a baseline of -inf does."""
+        with np.errstate(over="ignore"):
+            return np.exp(
+                self.log_baseline + self.arm_effect * z + self.covariate_effect * np.sum(x, axis=-1)
+            )
 
     def cumulative(self, t: float, x, z: int) -> float:
         return t * self.rate(x, z)
@@ -141,11 +144,12 @@ def assign_treatment(
 
 def draw_survival(rng: np.random.Generator, x, z: int, hazard: HazardModel):
     """Outcome draw by exact exponential inversion of the linear cumulative
-    hazard (a zero rate gives an infinite time): one time for a covariate row,
-    an array of times, in row order, for a matrix of rows."""
+    hazard (a zero rate gives an infinite time, an infinite rate an immediate
+    event at time 0): one time for a covariate row, an array of times, in row
+    order, for a matrix of rows."""
     rate = hazard.rate(x, z)
     e = rng.exponential(size=None if np.ndim(rate) == 0 else len(rate))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return e / rate
 
 

@@ -327,8 +327,9 @@ class TestLibraryChecksExit2:
             ["experiment", "--config", "{w}/config.json", "--seed", "-1", "--output-dir", "{w}/o"],
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x9"],
             ["test", "{w}/narrow.csv", "--scheme", "{w}/scheme.json"],
+            ["test", "{w}/data.csv", "--method", "iptw", "--features", "x2,x2"],
         ],
-        ids=["simulate-n", "theta", "threads", "seed", "features", "dimension"],
+        ids=["simulate-n", "theta", "threads", "seed", "features", "dimension", "features-duplicate"],
     )
     def test_exit_2_with_one_error_line(self, workdir, capsys, argv):
         simulate(workdir, n=100)
@@ -343,6 +344,31 @@ class TestLibraryChecksExit2:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("scale, code", [(1e-5, 0), (1e-100, 0), (1e-200, 3)])
+def test_iptw_fit_does_not_read_small_units_as_separation(workdir, capsys, scale, code):
+    # the fit exists whatever the units of x1, as long as its score and
+    # Hessian stay within the float range
+    data = simulate(workdir, n=200, seed=1)
+    header, *rows = data.read_text().splitlines()
+    lines = [header]
+    for row in rows:
+        fields = row.split(",")
+        fields[1] = repr(float(fields[1]) * scale)
+        lines.append(",".join(fields))
+    scaled = workdir / "scaled.csv"
+    scaled.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    codes = [main(["test", str(path), "--method", "iptw", "--output", str(path.with_suffix(".json"))])
+             for path in (data, scaled)]
+    err = capsys.readouterr().err.splitlines()
+    assert codes == [0, code]
+    if code == 0:
+        base, result = (json.loads(path.with_suffix(".json").read_text()) for path in (data, scaled))
+        assert result["standardized"] == pytest.approx(base["standardized"], rel=1e-12)
+    else:
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
 
 
 class TestUnusablePaths:
@@ -399,11 +425,11 @@ class TestPinnedOutputs:
 
 
 # Values a hostile JSON file may hold in place of any field; the markers are
-# spliced in as raw JSON text: an array nested 100 000 deep and a literal too
-# large for a float.
+# spliced in as raw JSON text: an array nested 100 000 deep, a literal too
+# large for a float and a large finite one.
 HOSTILE_VALUES = [None, True, -1, 0, 2, 2.5, "x", [], {}, [1], math.nan, math.inf, -math.inf,
-                  "<deep>", "<huge>"]
-RAW = {'"<deep>"': "[" * 100_000 + "]" * 100_000, '"<huge>"': "1e400"}
+                  "<deep>", "<huge>", "<big>"]
+RAW = {'"<deep>"': "[" * 100_000 + "]" * 100_000, '"<huge>"': "1e400", '"<big>"': "1e200"}
 # valid documents of each kind; any integer a mutation can set keeps threads
 # at most 2, n at most 200 and replications at most 3, so no run is large
 VALID_DOCS = {
@@ -522,13 +548,23 @@ def test_hostile_json_keeps_the_exit_code_contract(hostile_workdir, document):
         ("scheme", with_fields("scheme", bins_per_dim=10**6 + 1)),
         ("experiment", with_fields("experiment", theta=1000)),
         ("experiment", with_fields("experiment", direction="two_sided")),
+        ("weight-fn", {"breakpoints": [2.0], "values": [1.0, "<big>"]}),
     ],
     ids=["weight-fn-array", "nan-breakpoint", "infinite-bins", "infinite-box", "deep-array", "fractional-n",
          "huge-n", "negative-seed", "fractional-replications", "fractional-threads",
          "scenario-array", "fractional-seed", "fractional-bins", "fractional-binary-dims",
-         "bins-over-ceiling", "theta-overflow", "removed-direction"],
+         "bins-over-ceiling", "theta-overflow", "removed-direction", "huge-weight"],
 )
 def test_invalid_json_document_exits_2_naming_the_file(hostile_workdir, kind, doc):
     code, err = run_on_document(hostile_workdir, kind, render(doc))
     assert code == 2
     assert err.startswith("error:") and "doc.json" in err and "Traceback" not in err
+
+
+def test_rates_beyond_the_float_range_run_without_warning(hostile_workdir):
+    # an infinite rate is an event at time 0, a zero rate no event at all;
+    # the suite turns any warning into an error
+    doc = with_fields("experiment", hypothesis="alternative", baseline_log_hazard=800,
+                      treatment_log_hazard=800, covariate_log_hazard=800)
+    code, err = run_on_document(hostile_workdir, "experiment", render(doc))
+    assert code == 0 and "Traceback" not in err

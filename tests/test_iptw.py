@@ -96,6 +96,24 @@ class TestFitLogistic:
             fit_logistic(cohort, feature_selector=(5,))
 
 
+@pytest.fixture(scope="module")
+def cohort_5k():
+    cohort = generate(Scenario(n=5000, seed=1))
+    return cohort, iptw_logrank(cohort, iptw_weights(fit_logistic(cohort), cohort)).standardized
+
+
+@pytest.mark.parametrize("k", [-150, -100, -50, -25, -5, 25, 100, 150])
+def test_covariate_units_do_not_change_the_iptw_statistic(cohort_5k, k):
+    # separation is a property of the data: rescaling x1 by 10^k rescales its
+    # coefficient by 10^-k and leaves the fitted propensities as they were
+    cohort, expected = cohort_5k
+    xs = cohort.covariate_matrix.copy()
+    xs[:, 0] *= 10.0**k
+    scaled = Cohort.from_columns(cohort.ids, xs, cohort.arms, cohort.times, cohort.events, cohort.horizon)
+    result = iptw_logrank(scaled, iptw_weights(fit_logistic(scaled), scaled))
+    assert result.standardized == pytest.approx(expected, rel=1e-12)
+
+
 class TestIptwWeights:
     def _model_with_probs(self, cohort, intercept):
         # intercept-only model so every fitted propensity is expit(intercept)

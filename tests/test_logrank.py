@@ -24,7 +24,7 @@ from cemlogrank import (
     statistic_path,
     variance_estimate,
 )
-from cemlogrank.oracle import _naive_pooled, _naive_weight, statistic_by_enumeration
+from cemlogrank.oracle import _naive_pooled, _naive_weight, statistic_by_enumeration, stratum_by_comparison
 from cemlogrank.util import norm_sf
 
 ONE_CELL = grid_scheme([0.0], [1.0], 1)
@@ -328,6 +328,7 @@ def multi_cell_instances(draw):
 def test_multi_cell_agreement_with_oracle(instance):
     mc, wf = instance
     assert mc.n_cells >= 3
+    assert mc.stratum_of == stratum_by_comparison(mc)
     grid = build_event_grid(mc.cohort)
     path = statistic_path(mc, wf)
     assert [t for t, _ in path] == list(grid.times)

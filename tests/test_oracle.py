@@ -23,6 +23,7 @@ from cemlogrank.oracle import (
     nelson_aalen_difference,
     statistic_by_enumeration,
     statistic_decomposition,
+    stratum_by_comparison,
 )
 
 
@@ -187,6 +188,7 @@ def test_enumeration_oracle_matches_fast_path_on_simulated_data():
     sc = Scenario(n=150, assignment_model="model1", hypothesis="null", seed=55)
     cohort = generate(sc)
     mc = match(cohort, scheme)
+    assert mc.stratum_of == stratum_by_comparison(mc)
     path = statistic_path(mc)
     stat = path[-1][1] if path else 0.0
     assert stat == pytest.approx(statistic_by_enumeration(mc), abs=1e-12)

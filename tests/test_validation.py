@@ -22,6 +22,7 @@ from cemlogrank import (
     run_test,
 )
 from cemlogrank.experiment import MAX_THREADS
+from cemlogrank.logrank import MAX_WEIGHT
 from cemlogrank.matching import MAX_BINS
 from cemlogrank.util import require_int
 
@@ -62,8 +63,12 @@ OWNER_CHECKS = {
     "grid-bins-ceiling": lambda c: grid_scheme(*BOX, MAX_BINS + 1),
     "grid-box-span": lambda c: grid_scheme([0.0], [0.0], 2),
     "weight-fn": lambda c: WeightFunction(breakpoints=(1.0,), values=(1.0,)),
+    "weight-fn-ceiling": lambda c: WeightFunction(breakpoints=(1.0,), values=(1.0, -2 * MAX_WEIGHT)),
     "match-dimension": lambda c: match(c, grid_scheme(*BOX, 4)),
     "logistic-features": lambda c: fit_logistic(c, (0, 8)),
+    "logistic-features-fraction": lambda c: fit_logistic(c, (0.9, 1.7)),
+    "logistic-features-bool": lambda c: fit_logistic(c, (True, 1)),
+    "logistic-features-duplicate": lambda c: fit_logistic(c, (1, 1)),
     "run-test-alpha": lambda c: run_test(match(c, grid_scheme(*BOX, 4, 2)), alpha=0.0),
     "iptw-direction": lambda c: iptw_logrank(c, uniform_weights(c), direction="left"),
     "require-int-bool": lambda c: require_int("k", True, 0),
@@ -85,6 +90,7 @@ def test_feature_error_names_the_column(cohort):
 
 def test_ceilings_are_inclusive():
     require_int("k", 10, 0, 10)
+    assert WeightFunction.constant(-MAX_WEIGHT).values == (-MAX_WEIGHT,)
     assert ExperimentConfig(Scenario(n=200), threads=MAX_THREADS).threads == MAX_THREADS
 
 
