@@ -18,6 +18,7 @@ from .util import expit, pinv, pinv_array, require_int
 
 SCORE_TOL = 1e-10
 STEP_TOL = 1e-12
+DECREMENT_TOL = 1e-12  # score @ H^-1 @ score: the same in any units of the covariates
 MAX_ITER = 100
 MAX_HALVINGS = 30
 # a fitted probability this close to 0 or 1 means the odds left double
@@ -68,8 +69,8 @@ class IptwWeights:
 def _design(cohort: Cohort, feature_selector: tuple[int, ...]) -> np.ndarray:
     xs = cohort.covariate_matrix
     for k, j in enumerate(feature_selector):
-        require_int("feature column index", j, 0)
-        if j >= xs.shape[1]:
+        require_int("feature column index", j)
+        if not 0 <= j < xs.shape[1]:
             raise ConfigError(f"feature column x{j + 1} outside the dataset's {xs.shape[1]} covariates")
         if j in feature_selector[:k]:
             raise ConfigError(f"feature column x{j + 1} selected twice")
@@ -88,10 +89,11 @@ def fit_logistic(
 
     Newton-Raphson with step halving (up to 30 halvings when a step lowers the
     log-likelihood).  Converged when the score max-norm falls to 1e-10 or the
-    step norm to 1e-12.  An empty arm, no convergence within 100 iterations or
-    fitted probabilities saturating at 0/1 mean separation, whatever the
-    covariates' units, and raise SeparationError; a singular or overflowing
-    Hessian raises RankDeficiencyError.  So a returned model met a tolerance.
+    step norm to 1e-12, and the unit-free Newton decrement to 1e-12.  An empty
+    arm, no convergence within 100 iterations or fitted probabilities
+    saturating at 0/1 mean separation, whatever the covariates' units, and
+    raise SeparationError; a singular or overflowing Hessian raises
+    RankDeficiencyError.  So a returned model met a tolerance.
     """
     selector = tuple(feature_selector)
     X = _design(cohort, selector)
@@ -107,9 +109,6 @@ def fit_logistic(
         # covariates near the float ceiling overflow here; checked below
         with np.errstate(over="ignore", invalid="ignore"):
             score = X.T @ (z - p)
-            if np.max(np.abs(score)) <= SCORE_TOL:
-                iterations -= 1
-                break
             w = p * (1.0 - p)
             hessian = X.T @ (X * w[:, None])
         if not (np.isfinite(score).all() and np.isfinite(hessian).all()):
@@ -118,9 +117,14 @@ def fit_logistic(
             newton_step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"singular Hessian in logistic fit: {exc}") from exc
-        with np.errstate(over="ignore"):  # an overflowing norm is not converged
-            if float(np.linalg.norm(newton_step)) <= STEP_TOL:
-                break
+        # a score or a step small only because of the units leaves the decrement large
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is not converged
+            if float(score @ newton_step) <= DECREMENT_TOL:
+                if np.max(np.abs(score)) <= SCORE_TOL:
+                    iterations -= 1
+                    break
+                if float(np.linalg.norm(newton_step)) <= STEP_TOL:
+                    break
         # halve only on genuine decreases; the slack keeps float noise in a
         # log-likelihood near its maximum from strangling the step.  After
         # MAX_HALVINGS the last halved step is taken whatever its fit.

@@ -24,13 +24,16 @@ def pinv_array(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=np.zeros_like(x, dtype=float), where=x != 0.0)
 
 
-def require_int(name: str, value, minimum: int, maximum: float = math.inf) -> None:
+def require_int(name: str, value, minimum: float = -math.inf, maximum: float = math.inf) -> None:
     """ConfigError unless ``value`` is an integer (a bool is not) in
     [``minimum``, ``maximum``]."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integral and minimum <= value <= maximum):
-        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+        if maximum < math.inf:
+            bounds = f" in [{minimum}, {maximum}]"
+        else:
+            bounds = f" >= {minimum}" if minimum > -math.inf else ""
+        raise ConfigError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def canonical_json(obj) -> str:

@@ -328,8 +328,12 @@ class TestLibraryChecksExit2:
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x9"],
             ["test", "{w}/narrow.csv", "--scheme", "{w}/scheme.json"],
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x2,x2"],
+            ["test", "{w}/data.csv", "--method", "iptw", "--features", "x0"],
         ],
-        ids=["simulate-n", "theta", "threads", "seed", "features", "dimension", "features-duplicate"],
+        ids=[
+            "simulate-n", "theta", "threads", "seed", "features", "dimension",
+            "features-duplicate", "features-x0",
+        ],
     )
     def test_exit_2_with_one_error_line(self, workdir, capsys, argv):
         simulate(workdir, n=100)

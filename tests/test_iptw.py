@@ -73,6 +73,16 @@ class TestFitLogistic:
         with pytest.raises(SeparationError):
             fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=(0,))
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-5, 1e50, 1e100])
+    def test_separated_covariate_raises_in_any_units(self, scale):
+        # a score or a step that is small only because of the units is not
+        # convergence: the Newton decrement does not move with them
+        subjects = [
+            subj(i, 1 if i < 10 else 0, 1.0, x=(scale if i < 10 else -scale,)) for i in range(20)
+        ]
+        with pytest.raises(SeparationError):
+            fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=(0,))
+
     def test_score_small_at_solution(self):
         rng = np.random.default_rng(99)
         for trial in range(5):

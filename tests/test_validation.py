@@ -88,6 +88,11 @@ def test_feature_error_names_the_column(cohort):
         fit_logistic(cohort, (8,))
 
 
+def test_negative_feature_error_names_the_column(cohort):
+    with pytest.raises(ConfigError, match="feature column x0 outside"):
+        fit_logistic(cohort, (-1,))
+
+
 def test_ceilings_are_inclusive():
     require_int("k", 10, 0, 10)
     assert WeightFunction.constant(-MAX_WEIGHT).values == (-MAX_WEIGHT,)
