@@ -21,8 +21,11 @@ from .survival import Cohort
 from .util import fingerprint
 
 
-# Rows parsed per vectorized block; only the id strings outlive their block.
+# Records parsed per vectorized block; only the id strings outlive their block.
 CHUNK_ROWS = 4096
+
+# Characters for which csv.writer (QUOTE_MINIMAL, "\r\n" ending) quotes a field
+_QUOTED = (",", '"', "\r", "\n")
 
 
 def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
@@ -33,9 +36,9 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     largest observed time is used.  Malformed content raises
     DatasetFormatError naming the line of the earliest bad row.
 
-    Rows are parsed in blocks of CHUNK_ROWS into column arrays, so the whole
-    file is never held as rows; a block that fails a check is re-read row by
-    row only to name the line.
+    Records are parsed in blocks of CHUNK_ROWS into column arrays, so the
+    whole file is never held as rows; a block that fails a check is split
+    into rows only to name the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -45,41 +48,36 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
 
 
 def _parse_cohort(fh, horizon, name) -> Cohort:
-    reader = csv.reader(fh)
+    blocks = _record_blocks(fh)
+    lineno = 0  # records before the current block; the header is line 1
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError(f"{name}: empty file") from None
-    if len(header) < 4 or header[0] != "id" or header[-3:] != ["z", "time", "event"]:
-        raise DatasetFormatError(
-            f"{name}: header must be id,x1,...,xd,z,time,event, got {','.join(header)}"
-        )
-    d = len(header) - 4
-    expected = [f"x{j + 1}" for j in range(d)]
-    if header[1:-3] != expected:
-        raise DatasetFormatError(
-            f"{name}: covariate columns must be {','.join(expected)}, got {','.join(header[1:-3])}"
-        )
-    ids: list[str] = []
-    seen: set[str] = set()
-    blocks = []
-    lineno = 1
-    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-        data = [row for row in rows if row]
-        if data:
-            try:
-                block_ids, *columns = _parse_block(data, len(header), seen)
-            except ValueError:
-                k, message = _first_bad_row(data, len(header), seen)
-                line = lineno + 1 + [i for i, row in enumerate(rows) if row][k]
-                raise DatasetFormatError(f"{name} line {line}: {message}") from None
-            ids += block_ids
-            seen.update(block_ids)
-            blocks.append(columns)
-        lineno += len(rows)
+        first = next(blocks, None)
+        if first is None:
+            raise DatasetFormatError(f"{name}: empty file")
+        header = _fields(first[0])
+        _check_header(header, name)
+        width = len(header)
+        ids: list[str] = []
+        seen: set[str] = set()
+        parsed = []
+        lineno = 1
+        for records in blocks:
+            data = list(filter(None, records))
+            if data:
+                try:
+                    block_ids, *columns = _parse_block(data, width, seen)
+                except ValueError:
+                    k, message = _first_bad_row(list(map(_fields, data)), width, set(ids))
+                    line = lineno + 1 + [i for i, record in enumerate(records) if record][k]
+                    raise DatasetFormatError(f"{name} line {line}: {message}") from None
+                ids += block_ids
+                parsed.append(columns)
+            lineno += len(records)
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{name} line {lineno + 1}: {exc}") from None
     if not ids:
         raise DatasetFormatError(f"{name}: no data rows")
-    covariates, arms, times, events = (np.concatenate(c) for c in zip(*blocks))
+    covariates, arms, times, events = (np.concatenate(c) for c in zip(*parsed))
     if horizon is None:
         horizon = float(times.max())
         if horizon <= 0:
@@ -90,15 +88,72 @@ def _parse_cohort(fh, horizon, name) -> Cohort:
         raise DatasetFormatError(f"{name}: {exc}") from None
 
 
-def _parse_block(data: list[list[str]], width: int, seen: set[str]) -> tuple:
-    """Ids and column arrays of well-formed rows; ValueError when any row is
-    bad."""
-    if set(map(len, data)) != {width}:
-        raise ValueError("field count")
-    columns = list(zip(*data))
-    ids = columns[0]
-    if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
-        raise ValueError("duplicate id")
+def _check_header(header: list[str], name: str) -> None:
+    if len(header) < 4 or header[0] != "id" or header[-3:] != ["z", "time", "event"]:
+        raise DatasetFormatError(
+            f"{name}: header must be id,x1,...,xd,z,time,event, got {','.join(header)}"
+        )
+    expected = [f"x{j + 1}" for j in range(len(header) - 4)]
+    if header[1:-3] != expected:
+        raise DatasetFormatError(
+            f"{name}: covariate columns must be {','.join(expected)}, got {','.join(header[1:-3])}"
+        )
+
+
+def _record_blocks(fh):
+    r"""The file's records in blocks: the header alone, then up to CHUNK_ROWS
+    records each.  Until a block holds a quote, a record is its line without
+    the line ending ('' when blank), lines ending at \n, \r\n or \r as
+    csv.reader has them.  From that block on the records are csv.reader's
+    field lists ([] when blank), since a quoted field may span lines."""
+    size = 1
+    while lines := list(itertools.islice(fh, size)):
+        text = "".join(lines)
+        if '"' in text:
+            yield from _csv_blocks(csv.reader(itertools.chain(lines, fh)), size)
+            return
+        # a line holds no \r or \n but its ending
+        yield [line.rstrip("\r\n") for line in lines]
+        size = CHUNK_ROWS
+
+
+def _csv_blocks(reader, size: int):
+    """csv.reader's records in blocks; a csv.Error (a field over
+    csv.field_size_limit()) is raised after the block of the records before
+    it, so that an earlier bad row is named first."""
+    while True:
+        rows, error = [], None
+        try:
+            for row in itertools.islice(reader, size):
+                rows.append(row)
+        except csv.Error as exc:
+            error = exc
+        if rows:
+            yield rows
+        if error is not None:
+            raise error
+        if not rows:
+            return
+        size = CHUNK_ROWS
+
+
+def _fields(record) -> list[str]:
+    """A record's fields, from its line or from csv.reader."""
+    return record.split(",") if isinstance(record, str) else record
+
+
+def _parse_block(data: list, width: int, seen: set[str]) -> tuple:
+    """Ids and column arrays of nonblank records that are all well formed,
+    whose ids then join ``seen``; ValueError when any record is bad."""
+    if isinstance(data[0], str):
+        if list(map(str.count, data, itertools.repeat(","))).count(width - 1) != len(data):
+            raise ValueError("field count")
+        flat = ",".join(data).split(",")
+        columns = [flat[k::width] for k in range(width)]
+    else:
+        if set(map(len, data)) != {width}:
+            raise ValueError("field count")
+        columns = list(zip(*data))
     # np.array calls float() on each string, as the row checks do
     covariates = np.array(columns[1:-3], dtype=float).reshape(width - 4, len(data)).T
     times = np.array(columns[-2], dtype=float)
@@ -111,6 +166,11 @@ def _parse_block(data: list[list[str]], width: int, seen: set[str]) -> tuple:
         # every cell is one ASCII character, '0' or '1'
         flags.append(np.frombuffer("".join(column).encode("ascii"), dtype=np.uint8) == ord("1"))
     arms, events = flags
+    ids = columns[0]
+    size = len(seen)
+    seen.update(ids)
+    if len(seen) - size != len(ids):
+        raise ValueError("duplicate id")
     return ids, covariates, arms.astype(np.int8), times, events
 
 
@@ -144,18 +204,33 @@ def _first_bad_row(data: list[list[str]], width: int, seen: set[str]) -> tuple[i
 
 
 def write_cohort_csv(cohort: Cohort, path) -> None:
+    r"""Write the cohort in the layout read_cohort_csv reads, byte for byte
+    as csv.writer would: floats by repr, \r\n line endings, and an id quoted
+    (its quotes doubled) only when it holds a comma, a quote or a line break.
+    Blocks of CHUNK_ROWS rows are formatted one column at a time."""
     d = cohort.covariate_matrix.shape[1]
+    header = ["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"]
+    flag = ("0", "1").__getitem__
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"])
-        for sid, covs, arm, time, event in zip(
-            cohort.ids,
-            cohort.covariate_matrix.tolist(),
-            cohort.arms.tolist(),
-            cohort.times.tolist(),
-            cohort.events.tolist(),
-        ):
-            writer.writerow([sid] + [repr(v) for v in covs] + [arm, repr(time), 1 if event else 0])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cohort), CHUNK_ROWS):
+            block = slice(start, start + CHUNK_ROWS)
+            columns = [
+                _id_column(cohort.ids[block]),
+                *(map(repr, column.tolist()) for column in cohort.covariate_matrix[block].T),
+                map(flag, cohort.arms[block].tolist()),
+                map(repr, cohort.times[block].tolist()),
+                map(flag, cohort.events[block].tolist()),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _id_column(ids) -> list[str]:
+    ids = list(map(str, ids))
+    joined = "".join(ids)
+    if any(c in joined for c in _QUOTED):
+        ids = ['"' + s.replace('"', '""') + '"' if any(c in s for c in _QUOTED) else s for s in ids]
+    return ids
 
 
 def load_json_object(path, what: str, build):

@@ -153,7 +153,8 @@ def _matched_path(mc: MatchedCohort, weight_fn: WeightFunction | None):
     arms = mc.cohort.arms
     d1 = np.bincount(step[matched & (arms == 1) & (step >= 0)], minlength=len(times))
     control_events = np.flatnonzero(matched & (arms == 0) & (step >= 0))
-    r1, r0 = mc.at_risk_counts(mc.cell[control_events], mc.cohort.times[control_events])
+    # a subject's own time sits at its rank on the time axis
+    r1, r0 = mc._at_risk(mc.cell[control_events], mc.cohort.time_axis[1][control_events])
     d0 = np.bincount(step[control_events], weights=r1 / r0, minlength=len(times))
 
     # at time 0 both pooled totals equal n1

@@ -257,12 +257,23 @@ class MatchedCohort:
         matched cells; ``cells`` and ``t`` broadcast against each other."""
         axis = self.cohort.time_axis[0]
         cells = np.asarray(cells, dtype=np.int64)
-        lo = cells * len(axis) + np.searchsorted(axis, t, side="left")
-        hi = (cells + 1) * len(axis)
-        return tuple(
-            np.searchsorted(keys, hi, side="left") - np.searchsorted(keys, lo, side="left")
-            for keys in self._risk_keys
-        )
+        return self._at_risk(cells, np.searchsorted(axis, t, side="left"))
+
+    def _at_risk(self, cells, k) -> tuple[np.ndarray, np.ndarray]:
+        """``at_risk_counts`` at the positions ``k`` on the cohort's time axis
+        (``np.searchsorted(axis, t)``, or a subject's rank).  The lookups run
+        in ascending key order, where each binary search starts from the
+        last one's result."""
+        m = len(self.cohort.time_axis[0])
+        lo, hi = np.broadcast_arrays(cells * m + k, (cells + 1) * m)
+        order = np.argsort(lo, axis=None)
+        lo, hi, shape = lo.ravel()[order], hi.ravel()[order], lo.shape
+        counts = []
+        for keys in self._risk_keys:
+            count = np.empty(len(order), dtype=np.intp)
+            count[order] = np.searchsorted(keys, hi) - np.searchsorted(keys, lo)
+            counts.append(count.reshape(shape)[()])
+        return tuple(counts)
 
     @cached_property
     def last_control_time(self) -> np.ndarray:

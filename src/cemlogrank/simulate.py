@@ -45,7 +45,10 @@ class HazardModel:
     def rate(self, x, z):
         """Hazard rate of one covariate row, or of each row of a matrix.  A
         log-rate above the float range gives an infinite rate, one below it
-        a zero rate, as a baseline of -inf does."""
+        a zero rate, as a baseline of -inf does, whatever the covariates add."""
+        if self.log_baseline == -math.inf:
+            # a covariate term that overflows to +inf would make the sum NaN
+            return np.zeros(np.shape(x)[:-1])[()]
         with np.errstate(over="ignore"):
             return np.exp(
                 self.log_baseline + self.arm_effect * z + self.covariate_effect * np.sum(x, axis=-1)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -50,6 +51,13 @@ class TestSimulate:
         code = main(["simulate", "--output", str(workdir / "x.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_zero_baseline_with_an_overflowing_covariate_term(self, workdir):
+        config = workdir / "config.json"
+        config.write_text('{"n": 200, "seed": 5, "baseline_log_hazard": -Infinity, "covariate_log_hazard": 1e308}')
+        assert main(["simulate", "--config", str(config), "--output", str(workdir / "x.csv")]) == 0
+        rows = (workdir / "x.csv").read_text().splitlines()[1:]
+        assert len(rows) == 200 and {row.rsplit(",", 1)[1] for row in rows} == {"0"}
 
 
 def test_import_loads_no_scipy():
@@ -208,6 +216,24 @@ class TestTest:
         err = capsys.readouterr().err
         assert "line 5" in err and "finite" in err
         assert "Traceback" not in err
+
+    def test_field_over_the_csv_limit_is_input_error_naming_the_line(self, workdir, capsys):
+        # only a quoted file goes through csv.reader, whose field limit stays
+        # as it is; an unquoted file has no limit on a field
+        limit = csv.field_size_limit()
+        rows = simulate(workdir, n=50).read_text().splitlines()
+        long_id = "a" * 200_000
+        assert len(long_id) > limit
+        data = workdir / "big.csv"
+        data.write_text("\n".join(rows[:3] + [long_id + rows[3][rows[3].index(","):]] + rows[4:]) + "\n")
+        assert main(["test", str(data), "--scheme", str(workdir / "scheme.json")]) == 0
+        data.write_text("\n".join(rows[:3] + [f'"{long_id}"' + rows[3][rows[3].index(","):]] + rows[4:]) + "\n")
+        capsys.readouterr()
+        assert main(["test", str(data), "--scheme", str(workdir / "scheme.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 4: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert csv.field_size_limit() == limit
 
 
 class TestExperiment:

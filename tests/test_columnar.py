@@ -2,6 +2,7 @@
 the row view is lazy, and IPTW weights travel in cohort order."""
 
 import dataclasses
+import gc
 import json
 import math
 
@@ -23,6 +24,7 @@ from cemlogrank import (
     run_replicate,
 )
 from cemlogrank.cli import main
+from cemlogrank.dataio import read_cohort_csv, write_cohort_csv
 
 SCHEME = {"box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0], "bins_per_dim": 4, "binary_dims": 2}
 
@@ -63,6 +65,38 @@ class TestNoRecordsOnProductionPaths:
         assert not hasattr(IptwWeights, "by_id")
         records_forbidden(monkeypatch)
         iptw_logrank(cohort, weights)
+
+
+class TestNoRowChurn:
+    """The dataset CSV is read and written in column blocks.  A tokenizer
+    that builds one list per row allocates enough containers to start the
+    cyclic garbage collector over and over (at 50 000 rows, 123 collections
+    in one read)."""
+
+    def collections_during(self, call, *args):
+        """``call(*args)`` and the generations of the collections it started."""
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            result = call(*args)
+        finally:
+            gc.callbacks.remove(count)
+        return result, started
+
+    def test_reading_and_writing_20k_rows_start_no_collection(self, tmp_path):
+        cohort = generate(Scenario(n=20_000, seed=5))
+        path = tmp_path / "data.csv"
+        assert self.collections_during(write_cohort_csv, cohort, path)[1] == []
+        read, started = self.collections_during(read_cohort_csv, path, cohort.horizon)
+        assert started == []
+        assert read.ids == tuple(map(str, cohort.ids))
+        assert np.array_equal(read.covariate_matrix, cohort.covariate_matrix)
 
 
 class TestColumns:

@@ -1,16 +1,22 @@
-"""Dataset CSV reader: hostile input ends in exit 2 naming the line of the
-earliest bad row, and the chunked parse does not depend on the chunk size."""
+"""Dataset CSV reader and writer: hostile input ends in exit 2 naming the
+line of the earliest bad row, the chunked parse does not depend on the chunk
+size, the column tokenizer agrees with csv.reader, and the writer with
+csv.writer."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 import re
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemlogrank import dataio
+from cemlogrank import Cohort, Scenario, dataio, generate
 from cemlogrank.cli import main
 
 HEADER = "id,x1,x2,z,time,event"
@@ -113,3 +119,181 @@ def test_chunk_size_does_not_change_the_cohort(tmp_path_factory, rows, chunk, da
     assert cohort.arms.tolist() == [int(row[3]) for row in rows]
     assert cohort.times.tolist() == [float(row[4]) for row in rows]
     assert cohort.events.tolist() == [row[5] == "1" for row in rows]
+
+
+def reference_read(path, horizon):
+    """The dataset read one csv.reader record at a time: its Cohort, or the
+    number of the record (the header is 1) that holds the earliest bad row,
+    or, for a file-level fault, None."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows, seen, lineno = [], set(), 0
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if lineno == 1:
+                    width = len(row)
+                    if row != ["id", *(f"x{j + 1}" for j in range(width - 4)), "z", "time", "event"]:
+                        return None
+                elif row:
+                    if not row_is_good(row, width, seen):
+                        return lineno
+                    seen.add(row[0])
+                    rows.append(row)
+        except csv.Error:
+            return lineno + 1
+    if not rows:
+        return None
+    return Cohort.from_columns(
+        [row[0] for row in rows],
+        [[float(v) for v in row[1:-3]] for row in rows],
+        [int(row[-3]) for row in rows],
+        [float(row[-2]) for row in rows],
+        [row[-1] == "1" for row in rows],
+        horizon,
+    )
+
+
+def row_is_good(row, width, seen) -> bool:
+    try:
+        covariates, time = [float(v) for v in row[1:-3]], float(row[-2])
+    except (ValueError, IndexError):
+        return False
+    return (
+        len(row) == width
+        and all(map(math.isfinite, covariates))
+        and math.isfinite(time)
+        and time >= 0.0
+        and row[-3] in ("0", "1")
+        and row[-1] in ("0", "1")
+        and row[0] not in seen
+    )
+
+
+# characters that csv.reader and the column tokenizer must read alike
+ID_CHARS = st.sampled_from(["a", "1", " ", ",", '"', "\r", "\n", "\x00", "é"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 15)) == 0
+
+
+def quote(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_texts(draw):
+    """Dataset texts with blank lines, mixed line endings, quoted and bare
+    fields, quoted line breaks, leading spaces and NUL characters.  Most rows
+    are good; a bare id that holds a comma, quote or line break, a padded
+    flag or a missing field makes a bad one."""
+    header = ["id", "x1", "x2", "z", "time", "event"]
+    if rarely(draw):
+        header[0] = quote("id")
+    parts = [",".join(header), draw(ENDINGS)]
+    number = st.floats(-3.0, 3.0, allow_nan=False).map(repr)
+    for i in range(draw(st.integers(0, 12))):
+        if rarely(draw) or rarely(draw):
+            parts.append(draw(ENDINGS))
+        sid = f"s{i}" + draw(st.text(ID_CHARS, max_size=3)) if draw(st.booleans()) else f"s{i}"
+        flags = [draw(st.sampled_from(["0", "1"])) for _ in range(2)]
+        fields = [sid, draw(number), draw(number), flags[0], repr(draw(st.floats(0.0, 9.0))), flags[1]]
+        if rarely(draw):
+            fields[draw(st.integers(1, 5))] = draw(st.sampled_from([" 1", " 0.5", "1 "]))
+        if rarely(draw):
+            fields.pop()
+        if rarely(draw):
+            fields = list(map(quote, fields))
+        elif any(c in sid for c in ',"\r\n') and not rarely(draw):
+            fields[0] = quote(sid)
+        parts += [",".join(fields), draw(ENDINGS)]
+    if draw(st.booleans()):
+        parts.pop()
+    return "".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts(), chunk=st.sampled_from([1, 2, 3, 5, dataio.CHUNK_ROWS]))
+def test_column_tokenizer_reads_as_csv_reader_does(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("tokens") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = reference_read(path, 10.0)
+    with mock.patch.object(dataio, "CHUNK_ROWS", chunk):
+        try:
+            cohort = dataio.read_cohort_csv(path, horizon=10.0)
+        except dataio.DatasetFormatError as exc:
+            line = re.search(r" line (\d+): ", str(exc))
+            assert expected == (line and int(line[1])), str(exc)
+        else:
+            assert isinstance(expected, Cohort) and cohort == expected
+
+
+def test_quoted_line_breaks_across_a_block_boundary(tmp_path):
+    # the quote is first seen in the second block of two lines; the quoted
+    # field spans the boundary and the rest of the file is read by csv.reader
+    text = (
+        "id,x1,z,time,event\r\n"
+        "a,0.5,1,1.0,1\r\n"
+        'b,0.25,0,2.0,0\r\n"c\r\n'
+        '\r\nc",1.5,0,3.0,1\n'
+        '"d ""q""",0.75,1,4.0,0\n'
+        "e,2.5,1,5.0,1\n"
+        "f,2.5,1,-5.0,1\n"
+    )
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    with mock.patch.object(dataio, "CHUNK_ROWS", 2):
+        with pytest.raises(dataio.DatasetFormatError, match=r"line 7: time must be"):
+            dataio.read_cohort_csv(path)
+        path.write_text(text.rsplit("f,", 1)[0], newline="")
+        cohort = dataio.read_cohort_csv(path)
+    assert cohort.ids == ("a", "b", "c\r\n\r\nc", 'd "q"', "e")
+    assert cohort == reference_read(path, 5.0)
+
+
+def string_id_cohort(ids) -> Cohort:
+    rng = np.random.default_rng(len(ids))
+    n = len(ids)
+    covariates, arms, times = rng.standard_normal((n, 3)), rng.integers(0, 2, n), rng.exponential(size=n)
+    return Cohort.from_columns(ids, covariates, arms, times, rng.random(n) < 0.5, 10.0)
+
+
+def reference_csv_bytes(cohort: Cohort) -> bytes:
+    """The dataset as csv.writer writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    d = cohort.covariate_matrix.shape[1]
+    writer.writerow(["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"])
+    for sid, covs, arm, time, event in zip(
+        cohort.ids,
+        cohort.covariate_matrix.tolist(),
+        cohort.arms.tolist(),
+        cohort.times.tolist(),
+        cohort.events.tolist(),
+    ):
+        writer.writerow([sid] + [repr(v) for v in covs] + [arm, repr(time), 1 if event else 0])
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.lists(st.text(ID_CHARS | st.characters(), max_size=6), min_size=1, max_size=12, unique=True),
+    chunk=st.sampled_from([1, 2, 5, dataio.CHUNK_ROWS]),
+)
+def test_written_ids_read_back_and_match_csv_writer(tmp_path_factory, ids, chunk):
+    cohort = string_id_cohort(ids)
+    path = tmp_path_factory.mktemp("written") / "data.csv"
+    with mock.patch.object(dataio, "CHUNK_ROWS", chunk):
+        dataio.write_cohort_csv(cohort, path)
+        assert path.read_bytes() == reference_csv_bytes(cohort)
+        assert dataio.read_cohort_csv(path, horizon=10.0) == cohort
+
+
+def test_written_generated_cohort_matches_csv_writer(tmp_path):
+    ids = ["a,b", 'q"x', "line\nbreak", "cr\rx", "plain", " lead", ""]
+    for cohort in (generate(Scenario(n=300, seed=7)), string_id_cohort(ids)):
+        with mock.patch.object(dataio, "CHUNK_ROWS", 128):
+            dataio.write_cohort_csv(cohort, tmp_path / "data.csv")
+        assert (tmp_path / "data.csv").read_bytes() == reference_csv_bytes(cohort)
+    assert dataio.read_cohort_csv(tmp_path / "data.csv", horizon=10.0).ids == tuple(ids)

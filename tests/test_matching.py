@@ -9,8 +9,10 @@ from cemlogrank import (
     MatchReason,
     SubjectRecord,
     assign_stratum,
+    Scenario,
     build_event_grid,
     cem_weight,
+    generate,
     grid_scheme,
     match,
     omega_n_holds,
@@ -263,6 +265,31 @@ class TestCemWeight:
                 )
                 full = (num / den) if den else 0.0
                 assert cem_weight(mc, s.id, t) == pytest.approx(full, abs=1e-12)
+
+
+class TestAtRiskCounts:
+    def test_counts_by_direct_enumeration_and_broadcast(self):
+        cohort = generate(Scenario(n=400, seed=6))
+        mc = match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 2, binary_dims=2))
+        cells = np.arange(mc.n_cells)[:, None]
+        t = np.array([0.0, 0.5, 1.0, 2.5, 1e9])[None, :]
+        r1, r0 = mc.at_risk_counts(cells, t)
+        assert r1.shape == r0.shape == (mc.n_cells, 5)
+        for c in range(mc.n_cells):
+            for j, s in enumerate(t[0].tolist()):
+                at_risk = (mc.cell == c) & (cohort.times >= s)
+                assert r1[c, j] == np.count_nonzero(at_risk & (cohort.arms == 1))
+                assert r0[c, j] == np.count_nonzero(at_risk & (cohort.arms == 0))
+                assert mc.at_risk_counts(c, s) == (r1[c, j], r0[c, j])
+
+    def test_subject_ranks_give_the_counts_at_their_times(self):
+        cohort = generate(Scenario(n=400, seed=6))
+        mc = match(cohort, grid_scheme([-5.0] * 3, [5.0] * 3, 2, binary_dims=2))
+        subjects = np.flatnonzero(mc.cell >= 0)[::-1]
+        by_rank = mc._at_risk(mc.cell[subjects], cohort.time_axis[1][subjects])
+        by_time = mc.at_risk_counts(mc.cell[subjects], cohort.times[subjects])
+        for a, b in zip(by_rank, by_time):
+            assert a.tolist() == b.tolist()
 
 
 class TestPooledAtRisk:

@@ -93,6 +93,21 @@ class TestHazardModel:
         hz = HazardModel(log_baseline=-math.inf)
         assert draw_survival(replicate_rng(0, 0), (0.0,) * 5, 0, hz) == math.inf
 
+    def test_zero_baseline_wins_over_an_overflowing_covariate_term(self):
+        # 1e308 * sum(x) overflows to +inf, and -inf + inf would be NaN; the
+        # suite turns the RuntimeWarning of that NaN into an error as well
+        hz = HazardModel(log_baseline=-math.inf, arm_effect=0.5, covariate_effect=1e308)
+        xs = np.array([[1.0, 2.0, 0.5, 1.0, 1.0], [-3.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5])
+        assert hz.rate(xs, 1).tolist() == [0.0, 0.0, 0.0]
+        assert hz.rate(xs[0], 0) == 0.0 and np.ndim(hz.rate(xs[0], 0)) == 0
+        assert draw_survival(replicate_rng(0, 0), xs, 1, hz).tolist() == [math.inf] * 3
+
+    def test_zero_baseline_scenario_censors_everyone(self):
+        scenario = Scenario(n=200, seed=5, baseline_log_hazard=-math.inf, covariate_log_hazard=1e308)
+        cohort = generate(scenario)
+        assert not cohort.events.any()
+        assert np.isfinite(cohort.times).all()
+
 
 class TestDrawSurvival:
     def test_median_matches_inverse_hazard(self):
