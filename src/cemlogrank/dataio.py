@@ -34,7 +34,8 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     Covariates must be finite, z and event 0/1, and time a nonnegative
     decimal.  Subject ids are kept as strings.  When no horizon is given, the
     largest observed time is used.  Malformed content raises
-    DatasetFormatError naming the line of the earliest bad row.
+    DatasetFormatError naming the earliest bad row by the physical line on
+    which it starts.
 
     Records are parsed in blocks of CHUNK_ROWS into column arrays, so the
     whole file is never held as rows; a block that fails a check is split
@@ -49,32 +50,33 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
 
 def _parse_cohort(fh, horizon, name) -> Cohort:
     blocks = _record_blocks(fh)
-    lineno = 0  # records before the current block; the header is line 1
+    line = 1  # where the next record starts
     try:
         first = next(blocks, None)
         if first is None:
             raise DatasetFormatError(f"{name}: empty file")
-        header = _fields(first[0])
+        (head,), starts = first
+        header = _fields(head)
         _check_header(header, name)
         width = len(header)
         ids: list[str] = []
         seen: set[str] = set()
         parsed = []
-        lineno = 1
-        for records in blocks:
+        line = starts[-1]
+        for records, starts in blocks:
             data = list(filter(None, records))
             if data:
                 try:
                     block_ids, *columns = _parse_block(data, width, seen)
                 except ValueError:
                     k, message = _first_bad_row(list(map(_fields, data)), width, set(ids))
-                    line = lineno + 1 + [i for i, record in enumerate(records) if record][k]
+                    line = [start for start, record in zip(starts, records) if record][k]
                     raise DatasetFormatError(f"{name} line {line}: {message}") from None
                 ids += block_ids
                 parsed.append(columns)
-            lineno += len(records)
+            line = starts[-1]
     except csv.Error as exc:
-        raise DatasetFormatError(f"{name} line {lineno + 1}: {exc}") from None
+        raise DatasetFormatError(f"{name} line {line}: {exc}") from None
     if not ids:
         raise DatasetFormatError(f"{name}: no data rows")
     covariates, arms, times, events = (np.concatenate(c) for c in zip(*parsed))
@@ -102,34 +104,39 @@ def _check_header(header: list[str], name: str) -> None:
 
 def _record_blocks(fh):
     r"""The file's records in blocks: the header alone, then up to CHUNK_ROWS
-    records each.  Until a block holds a quote, a record is its line without
-    the line ending ('' when blank), lines ending at \n, \r\n or \r as
-    csv.reader has them.  From that block on the records are csv.reader's
-    field lists ([] when blank), since a quoted field may span lines."""
-    size = 1
+    records each.  A block comes with the physical line on which each of its
+    records starts, and then the line on which the next one would.
+
+    Until a block holds a quote, a record is its line without the line
+    ending ('' when blank), lines ending at \n, \r\n or \r as csv.reader has
+    them.  From that block on the records are csv.reader's field lists ([]
+    when blank), since a quoted field may span lines."""
+    size, start = 1, 1
     while lines := list(itertools.islice(fh, size)):
         text = "".join(lines)
         if '"' in text:
-            yield from _csv_blocks(csv.reader(itertools.chain(lines, fh)), size)
+            yield from _csv_blocks(csv.reader(itertools.chain(lines, fh)), size, start - 1)
             return
         # a line holds no \r or \n but its ending
-        yield [line.rstrip("\r\n") for line in lines]
-        size = CHUNK_ROWS
+        yield [line.rstrip("\r\n") for line in lines], range(start, start + len(lines) + 1)
+        size, start = CHUNK_ROWS, start + len(lines)
 
 
-def _csv_blocks(reader, size: int):
-    """csv.reader's records in blocks; a csv.Error (a field over
+def _csv_blocks(reader, size: int, offset: int):
+    """csv.reader's records in blocks, as ``_record_blocks`` gives them, with
+    ``offset`` lines before the reader's first.  A csv.Error (a field over
     csv.field_size_limit()) is raised after the block of the records before
     it, so that an earlier bad row is named first."""
     while True:
-        rows, error = [], None
+        rows, starts, error = [], [offset + reader.line_num + 1], None
         try:
             for row in itertools.islice(reader, size):
                 rows.append(row)
+                starts.append(offset + reader.line_num + 1)
         except csv.Error as exc:
             error = exc
         if rows:
-            yield rows
+            yield rows, starts
         if error is not None:
             raise error
         if not rows:
@@ -207,22 +214,32 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
     r"""Write the cohort in the layout read_cohort_csv reads, byte for byte
     as csv.writer would: floats by repr, \r\n line endings, and an id quoted
     (its quotes doubled) only when it holds a comma, a quote or a line break.
-    Blocks of CHUNK_ROWS rows are formatted one column at a time."""
+    Blocks of CHUNK_ROWS rows are formatted one column at a time.  An id that
+    UTF-8 cannot encode raises ConfigError naming it, and the partly written
+    file is removed."""
     d = cohort.covariate_matrix.shape[1]
     header = ["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"]
     flag = ("0", "1").__getitem__
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(cohort), CHUNK_ROWS):
-            block = slice(start, start + CHUNK_ROWS)
-            columns = [
-                _id_column(cohort.ids[block]),
-                *(map(repr, column.tolist()) for column in cohort.covariate_matrix[block].T),
-                map(flag, cohort.arms[block].tolist()),
-                map(repr, cohort.times[block].tolist()),
-                map(flag, cohort.events[block].tolist()),
-            ]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, len(cohort), CHUNK_ROWS):
+                block = slice(start, start + CHUNK_ROWS)
+                columns = [
+                    _id_column(cohort.ids[block]),
+                    *(map(repr, column.tolist()) for column in cohort.covariate_matrix[block].T),
+                    map(flag, cohort.arms[block].tolist()),
+                    map(repr, cohort.times[block].tolist()),
+                    map(flag, cohort.events[block].tolist()),
+                ]
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+    except UnicodeEncodeError as exc:
+        # only an id can hold what UTF-8 cannot encode (a lone surrogate), and
+        # the first id holding the failing character is the one written first
+        Path(path).unlink()
+        bad = exc.object[exc.start]
+        sid = next(sid for sid in map(str, cohort.ids) if bad in sid)
+        raise ConfigError(f"subject id {sid!r} cannot be encoded as UTF-8") from None
 
 
 def _id_column(ids) -> list[str]:

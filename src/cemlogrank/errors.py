@@ -21,7 +21,9 @@ class SeparationError(CemLogrankError):
 
 
 class RankDeficiencyError(CemLogrankError):
-    """Singular Hessian in the logistic fit (collinear features)."""
+    """The logistic fit has no unique solution in floats: a constant feature
+    or collinear features (a singular Hessian), or covariates whose centring
+    or mapped-back coefficients leave the float range (rescale them)."""
 
 
 class WeightOverflowError(CemLogrankError):

@@ -16,8 +16,6 @@ from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _tes
 from .survival import Cohort, SubjectId, risk_set_sums
 from .util import expit, pinv, pinv_array, require_int
 
-SCORE_TOL = 1e-10
-STEP_TOL = 1e-12
 DECREMENT_TOL = 1e-12  # score @ H^-1 @ score: the same in any units of the covariates
 MAX_ITER = 100
 MAX_HALVINGS = 30
@@ -87,56 +85,56 @@ def fit_logistic(
 ) -> LogisticModel:
     """Maximum-likelihood logistic fit of arm on (1, covariates[selector]).
 
-    Newton-Raphson with step halving (up to 30 halvings when a step lowers the
-    log-likelihood).  Converged when the score max-norm falls to 1e-10 or the
-    step norm to 1e-12, and the unit-free Newton decrement to 1e-12.  An empty
-    arm, no convergence within 100 iterations or fitted probabilities
-    saturating at 0/1 mean separation, whatever the covariates' units, and
-    raise SeparationError; a singular or overflowing Hessian raises
-    RankDeficiencyError.  So a returned model met a tolerance.
+    Newton-Raphson from the intercept-only MLE, on the features centred and
+    divided by their largest absolute deviation, so in [-1, 1] in any units;
+    a step that lowers the log-likelihood is halved up to 30 times.  It stops
+    on the unit-free Newton decrement alone (1e-12, then one last step) and
+    maps the coefficients back to the covariates' units.  One arm, no
+    convergence in 100 iterations or probabilities saturating at 0/1 raise
+    SeparationError; a constant feature, a singular Hessian or values beyond
+    the float range raise RankDeficiencyError.  A returned model converged.
     """
     selector = tuple(feature_selector)
     X = _design(cohort, selector)
     z = cohort.arms.astype(float)
     if z.min() == z.max():
         raise SeparationError("all subjects in one arm: logistic MLE diverges")
-
-    beta = np.zeros(X.shape[1])
+    features = X[:, 1:].T.copy()  # a contiguous row per feature: fast reductions
+    for j, lo, hi in zip(selector, features.min(axis=1), features.max(axis=1)):
+        if lo == hi:
+            raise RankDeficiencyError(f"feature column x{j + 1} is constant: collinear with the intercept")
+    # the largest deviation, not the sd, since the squares of tiny units underflow
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        center = features.mean(axis=1)
+        features -= center[:, None]
+        scale = np.max(np.abs(features), axis=1)
+        X[:, 1:] = (features / scale[:, None]).T
+    if not np.isfinite(X).all():
+        raise RankDeficiencyError("logistic fit overflowed: rescale the covariates")
+    beta = np.array([math.log(z.mean() / (1.0 - z.mean()))] + [0.0] * len(selector))
     eta = X @ beta
     ll = _log_likelihood(eta, z)
     for iterations in range(1, MAX_ITER + 1):
         p = expit(eta)
-        # covariates near the float ceiling overflow here; checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = X.T @ (z - p)
-            w = p * (1.0 - p)
-            hessian = X.T @ (X * w[:, None])
-        if not (np.isfinite(score).all() and np.isfinite(hessian).all()):
-            raise RankDeficiencyError("logistic fit overflowed: rescale the covariates")
+        score = X.T @ (z - p)
+        hessian = X.T @ (X * (p * (1.0 - p))[:, None])
         try:
             newton_step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"singular Hessian in logistic fit: {exc}") from exc
-        # a score or a step small only because of the units leaves the decrement large
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is not converged
-            if float(score @ newton_step) <= DECREMENT_TOL:
-                if np.max(np.abs(score)) <= SCORE_TOL:
-                    iterations -= 1
-                    break
-                if float(np.linalg.norm(newton_step)) <= STEP_TOL:
-                    break
-        # halve only on genuine decreases; the slack keeps float noise in a
-        # log-likelihood near its maximum from strangling the step.  After
-        # MAX_HALVINGS the last halved step is taken whatever its fit.
+        converged = float(score @ newton_step) <= DECREMENT_TOL
+        # halve only on genuine decreases, with slack for float noise near the
+        # maximum; after MAX_HALVINGS the last halved step is taken whatever its fit
         floor = ll - 1e-10 * (1.0 + abs(ll))
-        step = newton_step
         for halvings in range(MAX_HALVINGS + 1):
+            step = 0.5**halvings * newton_step
             eta = X @ (beta + step)
             ll = _log_likelihood(eta, z)
             if ll >= floor or halvings == MAX_HALVINGS:
                 break
-            step = 0.5 * step
         beta = beta + step
+        if converged:
+            break
     else:
         # no finite MLE exists when Newton cannot reach one (Albert & Anderson 1984)
         raise SeparationError(
@@ -149,12 +147,12 @@ def fit_logistic(
         raise SeparationError(
             "fitted probabilities saturated at 0 or 1: complete or quasi-complete separation"
         )
-    return LogisticModel(
-        feature_selector=selector,
-        coefficients=tuple(float(b) for b in beta),
-        iterations=iterations,
-        log_likelihood=ll,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        slopes = beta[1:] / scale
+        coefficients = np.concatenate([[beta[0] - slopes @ center], slopes])
+    if not np.isfinite(coefficients).all():
+        raise RankDeficiencyError("logistic fit overflowed: rescale the covariates")
+    return LogisticModel(selector, tuple(map(float, coefficients)), iterations, ll)
 
 
 def predict_propensity(model: LogisticModel, cohort: Cohort) -> np.ndarray:

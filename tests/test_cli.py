@@ -184,11 +184,13 @@ class TestTest:
         assert code == 3
         assert "numeric" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e307, 1e-310])
     def test_overflowing_propensity_fit_is_numeric_error(self, workdir, capsys, scale):
-        # x1 stays finite, so the reader accepts it, but the fit's Hessian
-        # overflows; the suite turns a RuntimeWarning into an error as well
-        rows = [line.split(",") for line in simulate(workdir, n=200).read_text().splitlines()]
+        # x1 stays finite, so the reader accepts it, but centring it (1e307:
+        # the sum of 1000 such values overflows) or mapping its slope back
+        # (1e-310) leaves the float range; the suite turns a RuntimeWarning
+        # into an error as well
+        rows = [line.split(",") for line in simulate(workdir, n=1000, seed=1).read_text().splitlines()]
         for row in rows[1:]:
             row[1] = repr(float(row[1]) * scale)
         data = workdir / "huge.csv"
@@ -197,6 +199,7 @@ class TestTest:
         assert main(["test", str(data), "--method", "iptw"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "rescale the covariates" in err
         assert main(["test", str(data), "--scheme", str(workdir / "scheme.json")]) == 0
 
     @pytest.mark.parametrize("method", ["iptw", "cem"])
@@ -376,10 +379,10 @@ class TestLibraryChecksExit2:
         assert not (workdir / "o").exists()
 
 
-@pytest.mark.parametrize("scale, code", [(1e-5, 0), (1e-100, 0), (1e-200, 3)])
-def test_iptw_fit_does_not_read_small_units_as_separation(workdir, capsys, scale, code):
-    # the fit exists whatever the units of x1, as long as its score and
-    # Hessian stay within the float range
+def iptw_on_scaled_x1(workdir, capsys, scale):
+    """Exit codes and stderr lines of ``test --method iptw`` on a simulated
+    CSV and on a copy with x1 times ``scale``, and the standardized statistic
+    of each report written."""
     data = simulate(workdir, n=200, seed=1)
     header, *rows = data.read_text().splitlines()
     lines = [header]
@@ -390,15 +393,34 @@ def test_iptw_fit_does_not_read_small_units_as_separation(workdir, capsys, scale
     scaled = workdir / "scaled.csv"
     scaled.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    codes = [main(["test", str(path), "--method", "iptw", "--output", str(path.with_suffix(".json"))])
-             for path in (data, scaled)]
+    reports = [path.with_suffix(".json") for path in (data, scaled)]
+    codes = [main(["test", str(path), "--method", "iptw", "--output", str(report)])
+             for path, report in zip((data, scaled), reports)]
     err = capsys.readouterr().err.splitlines()
+    stats = [json.loads(r.read_text())["standardized"] for r in reports if r.exists()]
+    return codes, err, stats
+
+
+@pytest.mark.parametrize("scale, code", [(1e-5, 0), (1e-100, 0), (1e-200, 0), (1e-310, 3)])
+def test_iptw_fit_does_not_read_small_units_as_separation(workdir, capsys, scale, code):
+    # the fit exists whatever the units of x1; only a slope beyond the float
+    # range asks for other units, and never as separation
+    codes, err, stats = iptw_on_scaled_x1(workdir, capsys, scale)
     assert codes == [0, code]
     if code == 0:
-        base, result = (json.loads(path.with_suffix(".json").read_text()) for path in (data, scaled))
-        assert result["standardized"] == pytest.approx(base["standardized"], rel=1e-12)
+        assert stats[1] == pytest.approx(stats[0], rel=1e-12)
     else:
         assert len(err) == 1 and err[0].startswith("numeric failure:")
+        assert "rescale the covariates" in err[0] and "separation" not in err[0]
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+def test_iptw_fit_does_not_read_large_units_as_overflow(workdir, capsys, scale):
+    # the fit runs on standardized features, so nothing overflows below
+    # about 1e307 times the simulated covariates
+    codes, err, stats = iptw_on_scaled_x1(workdir, capsys, scale)
+    assert codes == [0, 0]
+    assert stats[1] == pytest.approx(stats[0], rel=1e-12)
 
 
 class TestUnusablePaths:

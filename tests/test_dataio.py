@@ -13,10 +13,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cemlogrank import Cohort, Scenario, dataio, generate
+from cemlogrank import Cohort, ConfigError, Scenario, dataio, generate
 from cemlogrank.cli import main
 
 HEADER = "id,x1,x2,z,time,event"
@@ -123,24 +123,25 @@ def test_chunk_size_does_not_change_the_cohort(tmp_path_factory, rows, chunk, da
 
 def reference_read(path, horizon):
     """The dataset read one csv.reader record at a time: its Cohort, or the
-    number of the record (the header is 1) that holds the earliest bad row,
+    physical line on which the record holding the earliest bad row starts,
     or, for a file-level fault, None."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows, seen, lineno = [], set(), 0
+        rows, seen, line = [], set(), 1  # line: where the next record starts
         try:
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1:
+            for record, row in enumerate(reader):
+                if record == 0:
                     width = len(row)
                     if row != ["id", *(f"x{j + 1}" for j in range(width - 4)), "z", "time", "event"]:
                         return None
                 elif row:
                     if not row_is_good(row, width, seen):
-                        return lineno
+                        return line
                     seen.add(row[0])
                     rows.append(row)
+                line = reader.line_num + 1
         except csv.Error:
-            return lineno + 1
+            return line
     if not rows:
         return None
     return Cohort.from_columns(
@@ -244,7 +245,7 @@ def test_quoted_line_breaks_across_a_block_boundary(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(text, newline="")
     with mock.patch.object(dataio, "CHUNK_ROWS", 2):
-        with pytest.raises(dataio.DatasetFormatError, match=r"line 7: time must be"):
+        with pytest.raises(dataio.DatasetFormatError, match=r"line 9: time must be"):
             dataio.read_cohort_csv(path)
         path.write_text(text.rsplit("f,", 1)[0], newline="")
         cohort = dataio.read_cohort_csv(path)
@@ -276,15 +277,32 @@ def reference_csv_bytes(cohort: Cohort) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def encodes_as_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     ids=st.lists(st.text(ID_CHARS | st.characters(), max_size=6), min_size=1, max_size=12, unique=True),
     chunk=st.sampled_from([1, 2, 5, dataio.CHUNK_ROWS]),
 )
+@example(ids=["\ud800"], chunk=1)
 def test_written_ids_read_back_and_match_csv_writer(tmp_path_factory, ids, chunk):
+    # an id with a lone surrogate cannot be written as UTF-8: it is named,
+    # and no partial file is left
     cohort = string_id_cohort(ids)
     path = tmp_path_factory.mktemp("written") / "data.csv"
+    unwritable = [sid for sid in ids if not encodes_as_utf8(sid)]
     with mock.patch.object(dataio, "CHUNK_ROWS", chunk):
+        if unwritable:
+            with pytest.raises(ConfigError, match=re.escape(repr(unwritable[0]))):
+                dataio.write_cohort_csv(cohort, path)
+            assert not path.exists()
+            return
         dataio.write_cohort_csv(cohort, path)
         assert path.read_bytes() == reference_csv_bytes(cohort)
         assert dataio.read_cohort_csv(path, horizon=10.0) == cohort

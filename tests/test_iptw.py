@@ -9,6 +9,7 @@ from scipy.special import expit
 from cemlogrank import (
     Cohort,
     IptwWeights,
+    RankDeficiencyError,
     SeparationError,
     SubjectRecord,
     WeightFunction,
@@ -23,6 +24,8 @@ from cemlogrank import (
     run_test,
 )
 from cemlogrank import iptw
+from cemlogrank.cli import main
+from cemlogrank.dataio import write_cohort_csv
 from cemlogrank.oracle import classical_logrank
 
 
@@ -106,22 +109,67 @@ class TestFitLogistic:
             fit_logistic(cohort, feature_selector=(5,))
 
 
+def iptw_statistic(cohort):
+    return iptw_logrank(cohort, iptw_weights(fit_logistic(cohort), cohort)).standardized
+
+
 @pytest.fixture(scope="module")
 def cohort_5k():
     cohort = generate(Scenario(n=5000, seed=1))
-    return cohort, iptw_logrank(cohort, iptw_weights(fit_logistic(cohort), cohort)).standardized
+    return cohort, iptw_statistic(cohort)
 
 
-@pytest.mark.parametrize("k", [-150, -100, -50, -25, -5, 25, 100, 150])
+def rescaled(cohort, *factors):
+    """The cohort with covariate j multiplied by ``factors[j]``."""
+    xs = cohort.covariate_matrix.copy()
+    xs[:, : len(factors)] *= factors
+    return Cohort.from_columns(cohort.ids, xs, cohort.arms, cohort.times, cohort.events, cohort.horizon)
+
+
+@pytest.mark.parametrize("k", [-300, -150, -100, -50, -25, -5, 25, 100, 150, 300])
 def test_covariate_units_do_not_change_the_iptw_statistic(cohort_5k, k):
     # separation is a property of the data: rescaling x1 by 10^k rescales its
     # coefficient by 10^-k and leaves the fitted propensities as they were
     cohort, expected = cohort_5k
+    assert iptw_statistic(rescaled(cohort, 10.0**k)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_covariates_in_widely_different_units_at_once(cohort_5k):
+    # a score test would stall on the large column and a step test on the
+    # small one; the decrement in the standardized basis sees neither
+    cohort, expected = cohort_5k
+    assert iptw_statistic(rescaled(cohort, 1e-5, 1e5)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_covariate_offset_is_not_separation(cohort_5k):
+    # the centred fit does not see where a covariate's origin lies; x1 + 1e4
+    # keeps x1's deviations to about 1e-12
+    cohort, expected = cohort_5k
     xs = cohort.covariate_matrix.copy()
-    xs[:, 0] *= 10.0**k
-    scaled = Cohort.from_columns(cohort.ids, xs, cohort.arms, cohort.times, cohort.events, cohort.horizon)
-    result = iptw_logrank(scaled, iptw_weights(fit_logistic(scaled), scaled))
-    assert result.standardized == pytest.approx(expected, rel=1e-12)
+    xs[:, 0] += 1e4
+    shifted = Cohort.from_columns(cohort.ids, xs, cohort.arms, cohort.times, cohort.events, cohort.horizon)
+    assert iptw_statistic(shifted) == pytest.approx(expected, rel=1e-12)
+
+
+def test_underflowing_hessian_entry_is_not_separation(cohort_5k):
+    # sum(x1**2) underflows to 0 at 1e-175; the standardized column does not
+    cohort, expected = cohort_5k
+    scaled = rescaled(cohort, 1e-175)
+    assert np.sum(scaled.covariate_matrix[:, 0] ** 2) == 0.0
+    assert iptw_statistic(scaled) == pytest.approx(expected, rel=1e-12)
+
+
+def test_constant_feature_is_rank_deficiency(tmp_path, capsys):
+    subjects = [subj(i, i % 2, 1.0 + i, x=(0.5, float(i))) for i in range(20)]
+    cohort = Cohort(subjects=tuple(subjects), horizon=30.0)
+    with pytest.raises(RankDeficiencyError, match="feature column x1 is constant"):
+        fit_logistic(cohort, feature_selector=(1, 0))
+    data = tmp_path / "constant.csv"
+    write_cohort_csv(cohort, data)
+    capsys.readouterr()
+    assert main(["test", str(data), "--method", "iptw"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:") and "x1 is constant" in err[0]
 
 
 class TestIptwWeights:
