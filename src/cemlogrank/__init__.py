@@ -12,13 +12,12 @@ from .errors import (
     SeparationError,
     WeightOverflowError,
 )
-from .survival import Cohort, EventGrid, SubjectRecord, at_risk, build_event_grid, counting
+from .survival import Cohort, SubjectRecord
 from .matching import (
     CoarseningScheme,
     MatchReason,
     MatchedCohort,
     StratumId,
-    assign_stratum,
     cem_weight,
     grid_scheme,
     match,
@@ -69,16 +68,11 @@ __all__ = [
     "SeparationError",
     "WeightOverflowError",
     "Cohort",
-    "EventGrid",
     "SubjectRecord",
-    "at_risk",
-    "build_event_grid",
-    "counting",
     "CoarseningScheme",
     "MatchReason",
     "MatchedCohort",
     "StratumId",
-    "assign_stratum",
     "cem_weight",
     "grid_scheme",
     "match",

@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--censor-upper", type=float)
     sim.add_argument("--horizon", type=float)
-    sim.add_argument("--replicate", type=int, default=0)
+    sim.add_argument("--replicate", type=int, default=0,
+                     help="nonnegative integer r: write the cohort that experiment evaluates as replicate r")
     sim.add_argument("--output", type=Path, required=True)
 
     mat = sub.add_parser("match", help="assign strata and matched sets")

@@ -16,7 +16,7 @@ from . import __version__
 from .errors import ConfigError, DatasetFormatError
 from .experiment import ExperimentConfig, ExperimentResult
 from .logrank import TestResult, WeightFunction
-from .matching import CoarseningScheme, MatchedCohort, MatchReason, omega_n_holds
+from .matching import _REASONS, CoarseningScheme, MatchedCohort, omega_n_holds
 from .survival import Cohort
 from .util import fingerprint
 
@@ -283,15 +283,15 @@ def _stamp(payload: dict, config_source: dict) -> dict:
 
 
 def match_report(mc: MatchedCohort, config_source: dict) -> dict:
-    """Machine-readable matching outcome: per-subject stratum or reason."""
-    assignments = []
-    for sid, stratum in mc.stratum_of.items():
-        if isinstance(stratum, MatchReason):
-            assignments.append({"id": sid, "stratum": None, "matched": False, "reason": stratum.value})
-        else:
-            assignments.append(
-                {"id": sid, "stratum": list(stratum), "matched": True, "reason": "matched"}
-            )
+    """Machine-readable matching outcome: per-subject stratum or reason, read
+    off the matched columns in cohort order."""
+    strata = [list(key) for key in mc.cell_keys]
+    reasons = [None if reason is None else reason.value for reason in _REASONS]
+    assignments = [
+        {"id": sid, "stratum": strata[c], "matched": True, "reason": "matched"} if c >= 0
+        else {"id": sid, "stratum": None, "matched": False, "reason": reasons[r]}
+        for sid, c, r in zip(mc.cohort.ids, mc.cell.tolist(), mc.reason.tolist())
+    ]
     warnings = []
     if mc.n1 == 0:
         warnings.append("no matched treated subjects")

@@ -121,16 +121,6 @@ def grid_scheme(
     return CoarseningScheme(continuous_edges=edges, binary_dims=binary_dims)
 
 
-def assign_stratum(scheme: CoarseningScheme, x: Sequence[float]) -> StratumId | None:
-    """Cell containing ``x`` under the (lo, hi] convention, or None when any
-    coordinate falls outside the covered region (including exactly on the
-    global lower edge) or a binary coordinate is not exactly 0 or 1."""
-    if len(x) != scheme.dimension:
-        raise ValueError(f"expected {scheme.dimension} coordinates, got {len(x)}")
-    codes, valid = _assign_codes(scheme, np.asarray(x, dtype=float).reshape(1, -1))
-    return tuple(codes[0].tolist()) if valid[0] else None
-
-
 def _assign_codes(scheme: CoarseningScheme, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stratum assignment: integer codes plus an in-region mask."""
     n = xs.shape[0]
@@ -189,8 +179,8 @@ class MatchedCohort:
     cell, or -1 when the subject is unmatched; cells are indexed in the
     lexicographic order of their StratumId.  ``reason`` holds 0 for matched
     subjects and otherwise the code of the reason it was left out.
-    ``stratum_of``, ``g1`` and ``g0`` are per-subject views derived from
-    them on first use.
+    ``stratum_of`` is a per-subject dict view derived from them on first use;
+    the library itself reads the arrays.
     """
 
     cohort: Cohort
@@ -225,21 +215,6 @@ class MatchedCohort:
             sid: keys[c] if c >= 0 else _REASONS[r]
             for sid, c, r in zip(self.cohort.ids, self.cell.tolist(), self.reason.tolist())
         }
-
-    @cached_property
-    def g1(self) -> frozenset:
-        """Ids of the matched treated subjects."""
-        return self._matched_ids(1)
-
-    @cached_property
-    def g0(self) -> frozenset:
-        """Ids of the matched controls."""
-        return self._matched_ids(0)
-
-    def _matched_ids(self, arm: int) -> frozenset:
-        picked = np.flatnonzero((self.cell >= 0) & (self.cohort.arms == arm))
-        ids = self.cohort.ids
-        return frozenset(ids[i] for i in picked.tolist())
 
     @cached_property
     def _risk_keys(self) -> tuple[np.ndarray, np.ndarray]:

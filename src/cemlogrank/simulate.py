@@ -106,7 +106,9 @@ class Scenario:
 
 
 def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for one replicate of one seed."""
+    """Independent counter-based stream for one replicate (a nonnegative
+    integer) of one seed."""
+    require_int("replicate", replicate, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
     return np.random.Generator(np.random.Philox(ss))
 

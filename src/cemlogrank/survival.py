@@ -1,10 +1,12 @@
 """Core survival data model: the columnar cohort, subject records,
-risk/counting indicators, risk-set sums, event grids.
+risk-set sums, event grids.
 
 A Cohort is a set of read-only columns (ids, covariate matrix, arms, times,
 events) plus a horizon, built by ``Cohort.from_columns`` or from records by
 ``Cohort(subjects=..., horizon=...)``.  ``Cohort.subjects`` is a lazy row
-view of SubjectRecords for code that reads one subject at a time.
+view of SubjectRecords for code that reads one subject at a time; no
+production path builds one.  A subject is at risk at t while its observed
+time is at least t, the convention of every risk-set sum.
 
 The cohort sorts its observed times once, on first use (``time_axis``), and
 derives its event grid from that order (``event_steps``); the matched and the
@@ -233,20 +235,6 @@ class EventGrid:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def at_risk(subject: SubjectRecord, t: float) -> int:
-    """At-risk indicator at time t: 1 iff observed_time >= t.
-
-    Left-continuous convention: a subject whose observed time equals t is
-    still at risk at t.
-    """
-    return 1 if subject.observed_time >= t else 0
-
-
-def counting(subject: SubjectRecord, t: float) -> int:
-    """Counting-process value at t: 1 iff the event occurred at or before t."""
-    return 1 if (subject.event and subject.observed_time <= t) else 0
 
 
 def risk_set_sums(rank: np.ndarray, m: int, weights=None) -> np.ndarray:

@@ -351,6 +351,7 @@ class TestLibraryChecksExit2:
         "argv",
         [
             ["simulate", "--n", "1", "--output", "{w}/x.csv"],
+            ["simulate", "--n", "10", "--replicate", "-1", "--output", "{w}/x.csv"],
             ["experiment", "--config", "{w}/config.json", "--theta", "1000", "--output-dir", "{w}/o"],
             ["experiment", "--config", "{w}/config.json", "--threads", "0", "--output-dir", "{w}/o"],
             ["experiment", "--config", "{w}/config.json", "--seed", "-1", "--output-dir", "{w}/o"],
@@ -360,7 +361,7 @@ class TestLibraryChecksExit2:
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x0"],
         ],
         ids=[
-            "simulate-n", "theta", "threads", "seed", "features", "dimension",
+            "simulate-n", "simulate-replicate", "theta", "threads", "seed", "features", "dimension",
             "features-duplicate", "features-x0",
         ],
     )

@@ -13,6 +13,7 @@ from cemlogrank import (
     Cohort,
     ExperimentConfig,
     IptwWeights,
+    MatchedCohort,
     Scenario,
     SubjectRecord,
     fit_logistic,
@@ -36,6 +37,13 @@ def records_forbidden(monkeypatch):
     monkeypatch.setattr(SubjectRecord, "__post_init__", refuse)
 
 
+def strata_forbidden(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the per-subject stratum_of dict was built")
+
+    monkeypatch.setattr(MatchedCohort, "stratum_of", property(refuse))
+
+
 class TestNoRecordsOnProductionPaths:
     def test_cli_and_replicate_build_no_records(self, tmp_path, monkeypatch, capsys):
         records_forbidden(monkeypatch)
@@ -55,6 +63,20 @@ class TestNoRecordsOnProductionPaths:
         assert len(cohort.subjects) == len(cohort) == 500
         assert len(mc.stratum_of) == 500
         assert mc.unmatched_count == 500 - mc.n1 - mc.n0
+
+    def test_cli_reads_strata_from_the_matched_columns(self, tmp_path, monkeypatch, capsys):
+        records_forbidden(monkeypatch)
+        strata_forbidden(monkeypatch)
+        (tmp_path / "scheme.json").write_text(json.dumps(SCHEME))
+        (tmp_path / "config.json").write_text(
+            json.dumps({"scenario": {"n": 300, "seed": 3}, "replications": 2, "method": "both"})
+        )
+        data, scheme = str(tmp_path / "data.csv"), str(tmp_path / "scheme.json")
+        assert main(["simulate", "--n", "300", "--seed", "2", "--output", data]) == 0
+        assert main(["match", data, "--scheme", scheme]) == 0
+        assert main(["test", data, "--scheme", scheme]) == 0
+        assert main(["experiment", "--config", str(tmp_path / "config.json"), "--output-dir", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_aligned_weights_skip_the_id_lookup(self, monkeypatch):
         # weights come back in cohort order, so the IPTW test reads them by

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cemlogrank import Cohort, ConfigError, Scenario, dataio, generate
+from cemlogrank import Cohort, ConfigError, MatchReason, Scenario, dataio, generate, grid_scheme, match
 from cemlogrank.cli import main
+from cemlogrank.oracle import stratum_by_comparison
 
 HEADER = "id,x1,x2,z,time,event"
 SCHEME = {"box_lo": [-5.0, -5.0], "box_hi": [5.0, 5.0], "bins_per_dim": 2}
@@ -315,3 +316,26 @@ def test_written_generated_cohort_matches_csv_writer(tmp_path):
             dataio.write_cohort_csv(cohort, tmp_path / "data.csv")
         assert (tmp_path / "data.csv").read_bytes() == reference_csv_bytes(cohort)
     assert dataio.read_cohort_csv(tmp_path / "data.csv", horizon=10.0).ids == tuple(ids)
+
+
+def test_match_report_assignments_equal_the_oracle():
+    # string ids that read as numbers and do not sort in cohort order; some
+    # points fall outside the box or hold a binary coordinate of 0.5
+    rng = np.random.default_rng(21)
+    n = 80
+    ids = [str(n - i) for i in range(n)]
+    covariates = np.column_stack(
+        [rng.uniform(-0.2, 1.2, (n, 2)), rng.choice([0.0, 1.0, 0.5], n, p=[0.45, 0.45, 0.1])]
+    )
+    cohort = Cohort.from_columns(ids, covariates, rng.integers(0, 2, n), rng.exponential(size=n), rng.random(n) < 0.5, 10.0)
+    mc = match(cohort, grid_scheme([0.0, 0.0], [1.0, 1.0], 3, binary_dims=1))
+    expected = stratum_by_comparison(mc)
+    assignments = json.loads(json.dumps(dataio.match_report(mc, {})))["assignments"]
+    assert [a["id"] for a in assignments] == ids
+    for a in assignments:
+        cell = expected[a["id"]]
+        if isinstance(cell, MatchReason):
+            assert a == {"id": a["id"], "stratum": None, "matched": False, "reason": cell.value}
+        else:
+            assert a == {"id": a["id"], "stratum": list(cell), "matched": True, "reason": "matched"}
+    assert {a["reason"] for a in assignments} == {"matched", "outside_region", "no_cross_arm_partner"}

@@ -10,7 +10,6 @@ from cemlogrank import (
     Scenario,
     SubjectRecord,
     WeightFunction,
-    build_event_grid,
     cem_weight,
     fit_logistic,
     generate,
@@ -25,6 +24,7 @@ from cemlogrank import (
     variance_estimate,
 )
 from cemlogrank.oracle import _naive_pooled, _naive_weight, statistic_by_enumeration, stratum_by_comparison
+from cemlogrank.survival import build_event_grid
 from cemlogrank.util import norm_sf
 
 ONE_CELL = grid_scheme([0.0], [1.0], 1)

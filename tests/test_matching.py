@@ -8,9 +8,7 @@ from cemlogrank import (
     Cohort,
     MatchReason,
     SubjectRecord,
-    assign_stratum,
     Scenario,
-    build_event_grid,
     cem_weight,
     generate,
     grid_scheme,
@@ -18,11 +16,30 @@ from cemlogrank import (
     omega_n_holds,
     pooled_at_risk,
 )
+from cemlogrank.oracle import stratum_by_comparison
+from cemlogrank.survival import build_event_grid
 
 
 def subj(id, x, arm, time, event=True):
     xs = (x,) if isinstance(x, float) else tuple(x)
     return SubjectRecord(id=id, covariates=xs, arm=arm, observed_time=time, event=event)
+
+
+def matched_ids(mc, arm):
+    """Ids of the matched subjects of one arm."""
+    picked = np.flatnonzero((mc.cell >= 0) & (mc.cohort.arms == arm))
+    return {mc.cohort.ids[i] for i in picked.tolist()}
+
+
+def stratum(scheme, x):
+    """Cell that ``match`` gives a point x, held equal to the oracle's, or None
+    outside the covered region; a treated and a control subject both sit at
+    x, so the point's cell always has a cross-arm partner."""
+    cohort = Cohort.from_columns(["t", "c"], [x, x], [1, 0], [1.0, 1.0], [True, True], 10.0)
+    mc = match(cohort, scheme)
+    assert mc.stratum_of == stratum_by_comparison(mc)
+    cell = mc.stratum_of["t"]
+    return None if cell is MatchReason.OUTSIDE_REGION else cell
 
 
 class TestGridScheme:
@@ -74,37 +91,38 @@ class TestGridScheme:
 class TestAssignStratum:
     def test_boundary_lands_in_lower_cell(self):
         scheme = grid_scheme([0.0], [1.0], 2)
-        assert assign_stratum(scheme, (0.5,)) == (0,)
+        assert stratum(scheme, (0.5,)) == (0,)
 
     def test_just_above_boundary(self):
         scheme = grid_scheme([0.0], [1.0], 2)
-        assert assign_stratum(scheme, (0.51,)) == (1,)
+        assert stratum(scheme, (0.51,)) == (1,)
 
     def test_lower_edge_is_outside(self):
         scheme = grid_scheme([0.0], [1.0], 2)
-        assert assign_stratum(scheme, (0.0,)) is None
+        assert stratum(scheme, (0.0,)) is None
         big = grid_scheme([-5.0, -5.0, -5.0], [5.0, 5.0, 5.0], 12, binary_dims=2)
-        assert assign_stratum(big, (-5.0, 0.0, 0.0, 1.0, 0.0)) is None
+        assert stratum(big, (-5.0, 0.0, 0.0, 1.0, 0.0)) is None
 
     def test_above_upper_edge_is_outside(self):
         scheme = grid_scheme([0.0], [1.0], 2)
-        assert assign_stratum(scheme, (1.0000001,)) is None
-        assert assign_stratum(scheme, (1.0,)) == (1,)
+        assert stratum(scheme, (1.0000001,)) is None
+        assert stratum(scheme, (1.0,)) == (1,)
 
     def test_binary_values(self):
         scheme = grid_scheme([0.0], [1.0], 2, binary_dims=1)
-        assert assign_stratum(scheme, (0.5, 1.0)) == (0, 1)
-        assert assign_stratum(scheme, (0.5, 0.0)) == (0, 0)
-        assert assign_stratum(scheme, (0.5, 0.5)) is None
+        assert stratum(scheme, (0.5, 1.0)) == (0, 1)
+        assert stratum(scheme, (0.5, 0.0)) == (0, 0)
+        assert stratum(scheme, (0.5, 0.5)) is None
 
     def test_nan_is_outside(self):
-        scheme = grid_scheme([0.0], [1.0], 2)
-        assert assign_stratum(scheme, (math.nan,)) is None
+        # a NaN covariate never reaches the cell rule: the cohort refuses it
+        with pytest.raises(ValueError, match="finite"):
+            stratum(grid_scheme([0.0], [1.0], 2), (math.nan,))
 
     def test_dimension_mismatch(self):
         scheme = grid_scheme([0.0], [1.0], 2)
         with pytest.raises(ValueError):
-            assign_stratum(scheme, (0.5, 0.5))
+            stratum(scheme, (0.5, 0.5))
 
 
 ONE_CELL = grid_scheme([0.0], [1.0], 1)
@@ -115,7 +133,7 @@ class TestMatch:
     def test_cross_arm_pair_matches(self):
         cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
-        assert mc.g1 == {"t"} and mc.g0 == {"c"}
+        assert matched_ids(mc, 1) == {"t"} and matched_ids(mc, 0) == {"c"}
         assert mc.n1 == 1 and mc.unmatched_count == 0
 
     def test_different_cells_do_not_match(self):
@@ -139,7 +157,7 @@ class TestMatch:
             horizon=10.0,
         )
         mc = match(cohort, TWO_CELLS)
-        assert mc.g1 == {"t1", "t2"} and len(mc.g0) == 3
+        assert matched_ids(mc, 1) == {"t1", "t2"} and len(matched_ids(mc, 0)) == 3
         assert mc.stratum_of["t3"] is MatchReason.NO_CROSS_ARM_PARTNER
 
     def test_outside_region_reason(self):
@@ -161,11 +179,13 @@ class TestMatch:
         ]
         mc1 = match(Cohort(subjects=tuple(subjects), horizon=10.0), TWO_CELLS)
         mc2 = match(mc1.cohort, TWO_CELLS)
-        assert mc1.stratum_of == mc2.stratum_of and mc1.g1 == mc2.g1 and mc1.g0 == mc2.g0
+        assert mc1.stratum_of == mc2.stratum_of
+        assert all(matched_ids(mc1, arm) == matched_ids(mc2, arm) for arm in (0, 1))
         perm = list(subjects)
         rng.shuffle(perm)
         mc3 = match(Cohort(subjects=tuple(perm), horizon=10.0), TWO_CELLS)
-        assert mc3.stratum_of == mc1.stratum_of and mc3.g1 == mc1.g1 and mc3.g0 == mc1.g0
+        assert mc3.stratum_of == mc1.stratum_of
+        assert all(matched_ids(mc3, arm) == matched_ids(mc1, arm) for arm in (0, 1))
 
     def test_cells_beyond_int64_keep_lexicographic_order(self):
         # 300**8 cells: a plain mixed-radix cell code would overflow int64
@@ -178,16 +198,13 @@ class TestMatch:
             for i in range(80)
         ]
         mc = match(Cohort(subjects=tuple(subjects), horizon=10.0), scheme)
-        arms_in: dict = {}
-        for s in subjects:
-            arms_in.setdefault(assign_stratum(scheme, s.covariates), set()).add(s.arm)
-        matched = sorted(k for k, arms in arms_in.items() if arms == {0, 1})
+        expected = stratum_by_comparison(mc)
+        matched = sorted({key for key in expected.values() if isinstance(key, tuple)})
         assert len(matched) >= 3
         assert list(mc.cell_keys) == matched
+        assert mc.stratum_of == expected
         for s in subjects:
-            key = assign_stratum(scheme, s.covariates)
-            expected = key if key in matched else MatchReason.NO_CROSS_ARM_PARTNER
-            assert mc.stratum_of[s.id] == expected
+            key = expected[s.id]
             assert mc.cell[mc.cohort.index_of[s.id]] == (matched.index(key) if key in matched else -1)
 
     def test_result_is_frozen(self):
@@ -248,21 +265,17 @@ class TestCemWeight:
         ]
         cohort = Cohort(subjects=tuple(subjects), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
+        def cell_of(o):
+            return (int(o.covariates[0] > 0.5),)
+
         for s in subjects:
-            if s.id not in mc.g0:
+            if s.id not in matched_ids(mc, 0):
                 continue
             cell = mc.stratum_of[s.id]
+            assert cell == cell_of(s)
             for t in (0.0, 2.5, 5.0, 9.5):
-                num = sum(
-                    1 for o in subjects
-                    if o.arm == 1 and o.observed_time >= t
-                    and assign_stratum(TWO_CELLS, o.covariates) == cell
-                )
-                den = sum(
-                    1 for o in subjects
-                    if o.arm == 0 and o.observed_time >= t
-                    and assign_stratum(TWO_CELLS, o.covariates) == cell
-                )
+                num = sum(1 for o in subjects if o.arm == 1 and o.observed_time >= t and cell_of(o) == cell)
+                den = sum(1 for o in subjects if o.arm == 0 and o.observed_time >= t and cell_of(o) == cell)
                 full = (num / den) if den else 0.0
                 assert cem_weight(mc, s.id, t) == pytest.approx(full, abs=1e-12)
 

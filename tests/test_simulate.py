@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from cemlogrank import (
+    ConfigError,
     HazardModel,
     Scenario,
     assignment_probability,
@@ -191,6 +192,11 @@ class TestGenerate:
             Scenario(n=10, hypothesis="sometimes")
         with pytest.raises(ValueError):
             Scenario(n=10, censor_upper=0.0)
+
+    @pytest.mark.parametrize("replicate", [-1, True, 1.0])
+    def test_replicate_must_be_a_nonnegative_integer(self, replicate):
+        with pytest.raises(ConfigError, match="replicate"):
+            generate(Scenario(n=10, seed=1), replicate=replicate)
 
 
 class TestStratumKaplanMeier:

@@ -5,35 +5,49 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cemlogrank import Cohort, SubjectRecord, at_risk, build_event_grid, counting
-from cemlogrank.survival import risk_set_sums
+from cemlogrank import Cohort, SubjectRecord
+from cemlogrank.survival import build_event_grid, risk_set_sums
 
 
 def make_subject(id, time, event, arm=0, x=(0.5,)):
     return SubjectRecord(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
 
 
+def at_risk_count(subjects, t, horizon=10.0):
+    """Subjects at risk at t, as every risk-set sum on the cohort's time axis
+    counts them."""
+    axis, rank = Cohort(subjects=tuple(subjects), horizon=horizon).time_axis
+    return int(risk_set_sums(rank, len(axis))[np.searchsorted(axis, t)])
+
+
+def event_count(subjects, t, horizon=10.0):
+    """Events on the cohort's event grid at or before t."""
+    cohort = Cohort(subjects=tuple(subjects), horizon=horizon)
+    grid, step = cohort.event_steps
+    times = cohort.time_axis[0][grid]
+    return int(np.count_nonzero(times[step[step >= 0]] <= t))
+
+
 class TestAtRisk:
     def test_at_own_time_still_at_risk(self):
-        assert at_risk(make_subject("a", 3.0, True), 3.0) == 1
+        assert at_risk_count([make_subject("a", 3.0, True)], 3.0) == 1
 
     def test_just_after_own_time_not_at_risk(self):
-        assert at_risk(make_subject("a", 3.0, True), 3.0001) == 0
+        assert at_risk_count([make_subject("a", 3.0, True)], 3.0001) == 0
 
     def test_everyone_at_risk_at_zero(self):
-        assert at_risk(make_subject("a", 0.0, False), 0.0) == 1
-        assert at_risk(make_subject("b", 7.5, True), 0.0) == 1
+        assert at_risk_count([make_subject("a", 0.0, False), make_subject("b", 7.5, True)], 0.0) == 2
 
 
 class TestCounting:
     def test_counts_at_own_event_time(self):
-        assert counting(make_subject("a", 3.0, True), 3.0) == 1
+        assert event_count([make_subject("a", 3.0, True)], 3.0) == 1
 
     def test_censored_subject_never_counts(self):
-        assert counting(make_subject("a", 3.0, False), 10.0) == 0
+        assert event_count([make_subject("a", 3.0, False)], 10.0) == 0
 
     def test_before_event(self):
-        assert counting(make_subject("a", 3.0, True), 2.9) == 0
+        assert event_count([make_subject("a", 3.0, True)], 2.9) == 0
 
 
 class TestRecordValidation:
@@ -111,15 +125,15 @@ subject_strategy = st.builds(
 )
 def test_counting_nondecreasing_and_at_risk_nonincreasing(subject, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
-    assert counting(subject, lo) <= counting(subject, hi)
-    assert at_risk(subject, lo) >= at_risk(subject, hi)
+    assert event_count([subject], lo) <= event_count([subject], hi)
+    assert at_risk_count([subject], lo) >= at_risk_count([subject], hi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(subject=subject_strategy, t=st.floats(0.0, 15.0, allow_nan=False))
 def test_event_implies_at_risk_up_to_event(subject, t):
-    if counting(subject, t) == 1:
-        assert at_risk(subject, subject.observed_time) == 1
+    if event_count([subject], t) == 1:
+        assert at_risk_count([subject], subject.observed_time) == 1
 
 
 @settings(max_examples=60, deadline=None)
