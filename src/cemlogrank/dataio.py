@@ -21,7 +21,9 @@ from .survival import Cohort
 from .util import fingerprint
 
 
-# Records parsed per vectorized block; only the id strings outlive their block.
+# Records parsed per vectorized block.  Only the ids and the column arrays
+# outlive their block, so while parsing the reader holds the cohort's data,
+# the set of ids seen and one block's strings.
 CHUNK_ROWS = 4096
 
 # Characters for which csv.writer (QUOTE_MINIMAL, "\r\n" ending) quotes a field
@@ -39,7 +41,9 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
 
     Records are parsed in blocks of CHUNK_ROWS into column arrays, so the
     whole file is never held as rows; a block that fails a check is split
-    into rows only to name the line.
+    into rows only to name the line.  A block's raw lines are dropped once
+    split, and the set of ids seen and the per-block arrays before the cohort
+    is built, so the working set is the cohort plus one block and the id set.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -77,9 +81,11 @@ def _parse_cohort(fh, horizon, name) -> Cohort:
             line = starts[-1]
     except csv.Error as exc:
         raise DatasetFormatError(f"{name} line {line}: {exc}") from None
+    del seen  # Cohort.from_columns checks the ids again
     if not ids:
         raise DatasetFormatError(f"{name}: no data rows")
     covariates, arms, times, events = (np.concatenate(c) for c in zip(*parsed))
+    del parsed
     if horizon is None:
         horizon = float(times.max())
         if horizon <= 0:
@@ -113,13 +119,14 @@ def _record_blocks(fh):
     when blank), since a quoted field may span lines."""
     size, start = 1, 1
     while lines := list(itertools.islice(fh, size)):
-        text = "".join(lines)
-        if '"' in text:
+        if '"' in "".join(lines):
             yield from _csv_blocks(csv.reader(itertools.chain(lines, fh)), size, start - 1)
             return
-        # a line holds no \r or \n but its ending
-        yield [line.rstrip("\r\n") for line in lines], range(start, start + len(lines) + 1)
+        starts = range(start, start + len(lines) + 1)
         size, start = CHUNK_ROWS, start + len(lines)
+        # a line holds no \r or \n but its ending; the raw lines go before the yield
+        lines = [line.rstrip("\r\n") for line in lines]
+        yield lines, starts
 
 
 def _csv_blocks(reader, size: int, offset: int):

@@ -7,7 +7,6 @@ gathered in replicate order, so the worker count can never change any output.
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Literal, Optional
@@ -255,6 +254,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     indices = range(config.replications)
     workers = min(config.threads, config.replications)
     if workers > 1:
+        # imported here: a serial run never pays for the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.replications // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(run_replicate, itertools.repeat(config), indices, chunksize=chunk))

@@ -130,8 +130,7 @@ def _assign_codes(scheme: CoarseningScheme, xs: np.ndarray) -> tuple[np.ndarray,
         col = xs[:, j]
         e = np.asarray(edges)
         k = np.searchsorted(e, col, side="left") - 1
-        with np.errstate(invalid="ignore"):
-            valid &= (col > e[0]) & (col <= e[-1])
+        valid &= (col > e[0]) & (col <= e[-1])
         codes[:, j] = np.clip(k, 0, len(edges) - 2)
     for j in range(scheme.binary_dims):
         col = xs[:, scheme.continuous_dims + j]

@@ -7,6 +7,8 @@ coordinates.  Replicate r of a scenario draws from the counter-based stream
 keyed by (seed, r), so parallel execution order can never change the data.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import asdict, dataclass
 from typing import Literal
@@ -106,8 +108,9 @@ class Scenario:
 
 
 def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for one replicate (a nonnegative
-    integer) of one seed."""
+    """Independent counter-based stream for one replicate of one seed, both
+    nonnegative integers."""
+    require_int("seed", seed, 0)
     require_int("replicate", replicate, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
     return np.random.Generator(np.random.Philox(ss))

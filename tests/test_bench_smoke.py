@@ -1,8 +1,9 @@
-"""The benchmark's replicate workload, run end to end on two replicates.
+"""The benchmark's workloads, run end to end on small inputs.
 
 ``perfbench/workloads.py`` calls ``run_replicate``, ``summarize_method``,
-``ExperimentResult`` and the matched cohort's fields itself, so a change to
-any of them that would break the benchmark fails here first."""
+``ExperimentResult``, the CSV reader, the command line and the matched
+cohort's fields itself, so a change to any of them that would break the
+benchmark fails here first."""
 
 import json
 from pathlib import Path
@@ -23,22 +24,44 @@ class InstantImport:
         pass
 
 
-def test_replicate_workload_runs_correct(monkeypatch, tmp_path, capsys):
+def run_workload(monkeypatch, tmp_path, capsys, variant) -> dict:
+    """The runner's last output line for the small workload class that
+    ``variant(workloads)`` returns, run at seed 3 with tracing."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run
     import workloads
 
-    monkeypatch.setattr(workloads, "REPLICATIONS", 2)
-
-    class TinyReplicate(workloads.Replicate):
-        name = "replicate_tiny"
-        cohorts_per_op = 2
-
+    workload = variant(workloads)
     monkeypatch.setattr(run, "OUT", tmp_path)
     monkeypatch.setattr(run, "ImportProbe", InstantImport)
-    monkeypatch.setitem(workloads.WORKLOADS, TinyReplicate.name, TinyReplicate)
-    argv = ["--workload", TinyReplicate.name, "--seed", "3", "--seconds", "0.3", "--trace", "1"]
+    monkeypatch.setitem(workloads.WORKLOADS, workload.name, workload)
+    argv = ["--workload", workload.name, "--seed", "3", "--seconds", "0.3", "--trace", "1"]
     assert run.main(argv) == 0
-    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_replicate_workload_runs_correct(monkeypatch, tmp_path, capsys):
+    def tiny_replicate(workloads):
+        monkeypatch.setattr(workloads, "REPLICATIONS", 2)
+
+        class TinyReplicate(workloads.Replicate):
+            name = "replicate_tiny"
+            cohorts_per_op = 2
+
+        return TinyReplicate
+
+    out = run_workload(monkeypatch, tmp_path, capsys, tiny_replicate)
+    assert out["correct"] and out["failed"] == 0
+
+
+def test_csv_workload_runs_correct(monkeypatch, tmp_path, capsys):
+    def small_csv(workloads):
+        class SmallCsvCoarseTest(workloads.CsvCoarseTest):
+            name = "csv_coarse_test_small"
+            n = 2000
+
+        return SmallCsvCoarseTest
+
+    out = run_workload(monkeypatch, tmp_path, capsys, small_csv)
     assert out["correct"] and out["failed"] == 0

@@ -60,12 +60,35 @@ class TestSimulate:
         assert len(rows) == 200 and {row.rsplit(",", 1)[1] for row in rows} == {"0"}
 
 
-def test_import_loads_no_scipy():
-    # scipy's import costs over a second of every command's cold start
+# Modules that match and test never use: scipy's import costs over a second
+# of a cold start, and the simulation RNG and the process pool together
+# about 4 MB of its resident set.
+UNUSED_BY_TEST = ("scipy", "numpy.random", "concurrent.futures", "multiprocessing")
+
+
+def unused_modules_after(code: str) -> list[str]:
+    """The modules under UNUSED_BY_TEST that a fresh interpreter holds after
+    running ``code``."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import sys, cemlogrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    modules = json.loads(out.stdout.splitlines()[-1])
+    return [m for m in modules if any(m == u or m.startswith(u + ".") for u in UNUSED_BY_TEST)]
+
+
+def test_import_loads_no_scipy():
+    assert unused_modules_after("import cemlogrank.cli") == []
+
+
+@pytest.mark.parametrize("method", ["cem", "iptw"])
+def test_test_command_loads_neither_the_rng_nor_the_pool(workdir, method):
+    data = simulate(workdir, n=300)
+    out = workdir / "result.json"
+    argv = ["test", str(data), "--method", method, "--scheme", str(workdir / "scheme.json"), "--output", str(out)]
+    code = f"import sys\nfrom cemlogrank.cli import main\nif main({argv!r}) != 0:\n    sys.exit('test failed')"
+    assert unused_modules_after(code) == []
+    assert json.loads(out.read_text())["method"] == method
 
 
 class TestMatch:

@@ -198,6 +198,12 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="replicate"):
             generate(Scenario(n=10, seed=1), replicate=replicate)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_stream_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy would refuse -1 naming no argument, and take True as seed 1
+        with pytest.raises(ConfigError, match="seed"):
+            replicate_rng(seed)
+
 
 class TestStratumKaplanMeier:
     def test_control_survival_matches_model_within_band(self):
