@@ -147,15 +147,17 @@ def _matched_path(mc: MatchedCohort, weight_fn: WeightFunction | None):
     """The event-grid times and the statistic path at them, as arrays."""
     wf = weight_fn or WeightFunction.constant()
     grid, step = mc.cohort.event_steps
-    times = mc.cohort.time_axis[0][grid]
-    y1, y0 = mc._pooled_totals(grid)
     matched = mc.cell >= 0
     arms = mc.cohort.arms
-    d1 = np.bincount(step[matched & (arms == 1) & (step >= 0)], minlength=len(times))
     control_events = np.flatnonzero(matched & (arms == 0) & (step >= 0))
-    # a subject's own time sits at its rank on the time axis
+    # a subject's own time sits at its rank on the time axis; the lookups
+    # run before the per-time arrays exist, since they set the peak memory
     r1, r0 = mc._at_risk(mc.cell[control_events], mc.cohort.time_axis[1][control_events])
-    d0 = np.bincount(step[control_events], weights=r1 / r0, minlength=len(times))
+    d0 = np.bincount(step[control_events], weights=r1 / r0, minlength=len(grid))
+    del control_events, r1, r0
+    d1 = np.bincount(step[matched & (arms == 1) & (step >= 0)], minlength=len(grid))
+    times = mc.cohort.time_axis[0][grid]
+    y1, y0 = mc._pooled_totals(grid)
 
     # at time 0 both pooled totals equal n1
     kern = _kernel(float(mc.n1), float(mc.n1), y1, y0, wf.value_at(times))

@@ -121,46 +121,46 @@ def grid_scheme(
     return CoarseningScheme(continuous_edges=edges, binary_dims=binary_dims)
 
 
-def _assign_codes(scheme: CoarseningScheme, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized stratum assignment: integer codes plus an in-region mask."""
-    n = xs.shape[0]
-    codes = np.zeros((n, scheme.dimension), dtype=np.int64)
-    valid = np.ones(n, dtype=bool)
-    for j, edges in enumerate(scheme.continuous_edges):
-        col = xs[:, j]
-        e = np.asarray(edges)
-        k = np.searchsorted(e, col, side="left") - 1
-        valid &= (col > e[0]) & (col <= e[-1])
-        codes[:, j] = np.clip(k, 0, len(edges) - 2)
-    for j in range(scheme.binary_dims):
-        col = xs[:, scheme.continuous_dims + j]
-        is01 = (col == 0.0) | (col == 1.0)
-        valid &= is01
-        codes[:, scheme.continuous_dims + j] = np.where(col == 1.0, 1, 0)
-    return codes, valid
+def _dimension_codes(scheme: CoarseningScheme, xs: np.ndarray, j: int) -> tuple:
+    """Each row's code in dimension j, its bin index when the dimension is
+    continuous and its 0/1 value when binary, and whether the row's
+    coordinate lies in the covered region."""
+    col = xs[:, j]
+    if j >= scheme.continuous_dims:
+        return (col == 1.0).view(np.int8), (col == 0.0) | (col == 1.0)
+    e = np.asarray(scheme.continuous_edges[j])
+    code = np.searchsorted(e, col, side="left")
+    code -= 1
+    np.clip(code, 0, len(e) - 2, out=code)
+    return code, (col > e[0]) & (col <= e[-1])
 
 
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _flat_codes(scheme: CoarseningScheme, codes: np.ndarray) -> np.ndarray:
-    """One int64 per row of per-dimension codes, ordered like the rows'
-    lexicographic order.
+def _cell_codes(scheme: CoarseningScheme, xs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Each row's cell as one int64 below ``span``, ordered like the cells'
+    lexicographic order, and whether the row lies in the covered region.
 
-    Mixed-radix digits, one per dimension.  When the next digit would overflow
-    int64, the prefix is first replaced by its rank among the distinct
-    prefixes, which keeps the order and bounds the prefix by the row count.
+    Mixed-radix digits, added one dimension at a time.  When the next digit
+    would overflow int64, the prefix is first replaced by its rank among the
+    distinct prefixes, which keeps the order and bounds the prefix by the row
+    count.
     """
-    radices = [scheme.bins(j) for j in range(scheme.continuous_dims)] + [2] * scheme.binary_dims
-    flat = codes[:, 0].copy()
-    span = radices[0]
-    for j in range(1, len(radices)):
-        if span > _INT64_MAX // radices[j]:
+    flat = np.zeros(len(xs), dtype=np.int64)
+    valid = np.ones(len(xs), dtype=bool)
+    span = 1
+    for j in range(scheme.dimension):
+        radix = scheme.bins(j) if j < scheme.continuous_dims else 2
+        if span > _INT64_MAX // radix:
             prefixes, flat = np.unique(flat, return_inverse=True)
             span = len(prefixes)
-        flat = flat * radices[j] + codes[:, j]
-        span *= radices[j]
-    return flat
+        code, inside = _dimension_codes(scheme, xs, j)
+        flat *= radix
+        flat += code
+        span *= radix
+        valid &= inside
+    return flat, span, valid
 
 
 # Per-subject reason codes of MatchedCohort.reason; the index into _REASONS.
@@ -202,8 +202,9 @@ class MatchedCohort:
     def cell_keys(self) -> tuple[StratumId, ...]:
         """StratumId of each matched cell, in cell-index order."""
         cells, first = np.unique(self.cell, return_index=True)
-        codes, _ = _assign_codes(self.scheme, self.cohort.covariate_matrix[first[cells >= 0]])
-        return tuple(map(tuple, codes.tolist()))
+        xs = self.cohort.covariate_matrix[first[cells >= 0]]
+        codes = [_dimension_codes(self.scheme, xs, j)[0] for j in range(self.scheme.dimension)]
+        return tuple(map(tuple, np.column_stack(codes).tolist()))
 
     @cached_property
     def stratum_of(self) -> dict[SubjectId, "StratumId | MatchReason"]:
@@ -235,27 +236,38 @@ class MatchedCohort:
 
     def _at_risk(self, cells, k) -> tuple[np.ndarray, np.ndarray]:
         """``at_risk_counts`` at the positions ``k`` on the cohort's time axis
-        (``np.searchsorted(axis, t)``, or a subject's rank).  The lookups run
+        (``np.searchsorted(axis, t)``, or a subject's rank): the end of the
+        cell's keys less the position of key cell * m + k.  The lookups run
         in ascending key order, where each binary search starts from the
         last one's result."""
         m = len(self.cohort.time_axis[0])
-        lo, hi = np.broadcast_arrays(cells * m + k, (cells + 1) * m)
-        order = np.argsort(lo, axis=None)
-        lo, hi, shape = lo.ravel()[order], hi.ravel()[order], lo.shape
+        # the sorted keys are built before the lookups' own arrays
+        per_arm = tuple(zip(self._risk_keys, self._cell_bounds))
+        starts = np.add(cells * m, k)
+        order = np.argsort(starts, axis=None)
+        shape, starts = starts.shape, starts.ravel()[order]
+        # a cell index outside the matched cells has no keys
+        ends = np.add(cells, 1)
         counts = []
-        for keys in self._risk_keys:
-            count = np.empty(len(order), dtype=np.intp)
-            count[order] = np.searchsorted(keys, hi) - np.searchsorted(keys, lo)
-            counts.append(count.reshape(shape)[()])
+        for keys, bounds in per_arm:
+            count = np.empty(shape, dtype=np.intp)
+            count.reshape(-1)[order] = np.searchsorted(keys, starts)
+            counts.append(np.subtract(np.take(bounds, ends, mode="clip"), count, out=count)[()])
         return tuple(counts)
+
+    @cached_property
+    def _cell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each arm's ``_risk_keys``, the position where each matched
+        cell's keys start, and then their length."""
+        m = len(self.cohort.time_axis[0])
+        starts = np.arange(self.n_cells + 1) * m
+        return tuple(np.searchsorted(keys, starts) for keys in self._risk_keys)
 
     @cached_property
     def last_control_time(self) -> np.ndarray:
         """E_c: the largest observed control time in each matched cell."""
         axis = self.cohort.time_axis[0]
-        keys0 = self._risk_keys[1]
-        ends = np.searchsorted(keys0, np.arange(1, self.n_cells + 1) * len(axis), side="left")
-        return axis[keys0[ends - 1] % len(axis)]
+        return axis[self._risk_keys[1][self._cell_bounds[1][1:] - 1] % len(axis)]
 
     def _pooled_totals(self, k) -> tuple[np.ndarray, np.ndarray]:
         """Pooled at-risk totals (Y1, Y0) at the times whose positions on the
@@ -282,18 +294,21 @@ def match(cohort: Cohort, scheme: CoarseningScheme) -> MatchedCohort:
         raise ConfigError(
             f"dataset has {xs.shape[1]} covariates but the scheme covers {scheme.dimension}"
         )
-    codes, valid = _assign_codes(scheme, xs)
-    arms = cohort.arms[valid]
-    # occupied cells of the region, in lexicographic order of their codes
-    cells, occupied = np.unique(_flat_codes(scheme, codes[valid]), return_inverse=True)
-    treated = np.bincount(occupied[arms == 1], minlength=len(cells))
-    controls = np.bincount(occupied[arms == 0], minlength=len(cells))
+    cell, span, valid = _cell_codes(scheme, xs)
+    if span > 2 * len(cell):
+        # a sparse grid: rank the cells that occur, so the counts stay O(n)
+        occupied, cell = np.unique(cell, return_inverse=True)
+        span = len(occupied)
+    # rows outside the region count in one more cell, never matched
+    cell[~valid] = span
+    total = np.bincount(cell, minlength=span + 1)
+    treated = np.bincount(cell[cohort.arms == 1], minlength=span + 1)
+    controls = total - treated
     both = (treated > 0) & (controls > 0)
-    matched_index = np.where(both, np.cumsum(both) - 1, -1)
-
-    cell = np.full(len(valid), -1, dtype=np.int64)
-    cell[valid] = matched_index[occupied]
-    reason = np.where(cell >= 0, _MATCHED, _NO_PARTNER).astype(np.int8)
+    both[span] = False
+    cell = np.where(both, np.cumsum(both) - 1, -1)[cell]
+    reason = np.full(len(cell), _NO_PARTNER, dtype=np.int8)
+    reason[cell >= 0] = _MATCHED
     reason[~valid] = _OUTSIDE_REGION
     cell.flags.writeable = False
     reason.flags.writeable = False

@@ -180,7 +180,10 @@ def generate(scenario: Scenario, replicate: int = 0) -> Cohort:
     censor = rng.uniform(0.0, scenario.censor_upper, size=n)
 
     t_true = np.where(z == 1, t_pot1, t_pot0)
+    del t_pot0, t_pot1
     observed = np.minimum(t_true, censor)
     event = t_true <= censor
+    # the draws go before the columns are copied into the cohort
+    del t_true, censor
 
     return Cohort.from_columns(range(n), xs, z, observed, event, scenario.horizon)

@@ -18,8 +18,8 @@ rounding, and no epsilon merging is ever applied to the event grid.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class SubjectRecord:
             )
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Cohort:
     """A collection of subjects observed on the window [0, horizon], held as
     read-only columns in subject order.
@@ -60,14 +60,14 @@ class Cohort:
     ``Cohort.from_columns`` builds one from its columns; ``Cohort(subjects=...,
     horizon=...)`` converts a sequence of SubjectRecords into the same
     columns.  ``subjects`` is a lazy row view that builds the records on first
-    row access; its length needs no records.
+    row access; its length needs no records.  A cohort given its ids as a
+    ``range`` (or by the CSV reader) builds the ``ids`` tuple on first use.
     """
 
-    ids: tuple[SubjectId, ...]
-    covariate_matrix: np.ndarray = field(repr=False)
-    arms: np.ndarray = field(repr=False)
-    times: np.ndarray = field(repr=False)
-    events: np.ndarray = field(repr=False)
+    covariate_matrix: np.ndarray
+    arms: np.ndarray
+    times: np.ndarray
+    events: np.ndarray
     horizon: float
 
     def __init__(self, subjects: Sequence[SubjectRecord], horizon: float):
@@ -96,16 +96,32 @@ class Cohort:
         cohort._set_columns(ids, covariates, arms, times, events, horizon)
         return cohort
 
+    @classmethod
+    def _from_checked_columns(cls, build_ids, covariates, arms, times, events, horizon) -> "Cohort":
+        """Cohort from columns its caller built and checked as ``from_columns``
+        does: a float n x d covariate matrix, int8 arms, float times and bool
+        events, all of length n, which are kept, not copied, and
+        ``build_ids()``, which returns the tuple of n unique ids on the first
+        use of ``ids``.  Only the horizon is checked here."""
+        _check_horizon(horizon)
+        cohort = cls.__new__(cls)
+        cohort.__dict__["_build_ids"] = build_ids
+        cohort._store(covariates, arms, times, events, horizon)
+        return cohort
+
     def _set_columns(self, ids, covariates, arms, times, events, horizon) -> None:
-        ids_unique = isinstance(ids, range)
-        ids = tuple(ids)
+        if isinstance(ids, range):
+            # unique by construction; the tuple is built on first use
+            self.__dict__["_build_ids"] = partial(tuple, ids)
+        else:
+            ids = tuple(ids)
+            self.__dict__["ids"] = ids
         n = len(ids)
         if n == 0:
             raise ValueError("cohort must contain at least one subject")
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+        _check_horizon(horizon)
         arms = np.array(arms)
-        bad = ~np.isin(arms, (0, 1))
+        bad = (arms != 0) & (arms != 1)
         if bad.any():
             raise ValueError(f"arm must be 0 or 1, got {arms[bad][0].item()!r}")
         times = np.array(times, dtype=float)
@@ -114,28 +130,34 @@ class Cohort:
             raise ValueError(
                 f"observed_time must be finite and nonnegative, got {times[bad][0].item()!r}"
             )
-        if not ids_unique and len(set(ids)) != n:
+        if not isinstance(ids, range) and len(set(ids)) != n:
             raise ValueError("subject ids must be unique")
         covariates = np.array(covariates, dtype=float)
         if covariates.ndim != 2:
             raise ValueError("all subjects must share one covariate dimension")
         if not np.isfinite(covariates).all():
             raise ValueError("covariates must be finite")
-        columns = {
-            "covariate_matrix": covariates,
-            "arms": arms.astype(np.int8),
-            "times": times,
-            "events": np.array(events, dtype=bool),
-        }
-        if any(c.shape[0] != n for c in columns.values()):
+        columns = (covariates, arms.astype(np.int8), times, np.array(events, dtype=bool))
+        if any(c.shape[0] != n for c in columns):
             raise ValueError("every column needs one entry per subject")
-        object.__setattr__(self, "ids", ids)
+        self._store(*columns, horizon)
+
+    def _store(self, covariates, arms, times, events, horizon) -> None:
+        columns = {"covariate_matrix": covariates, "arms": arms, "times": times, "events": events}
         for name, column in columns.items():
             object.__setattr__(self, name, _read_only(column))
         object.__setattr__(self, "horizon", horizon)
 
+    @cached_property
+    def ids(self) -> tuple[SubjectId, ...]:
+        """The subject ids in subject order."""
+        return self._build_ids()
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.times)
+
+    def __repr__(self) -> str:
+        return f"Cohort(ids={self.ids!r}, horizon={self.horizon!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cohort):
@@ -212,6 +234,11 @@ class SubjectRows(Sequence):
 
     def __iter__(self):
         return iter(self._cohort._records)
+
+
+def _check_horizon(horizon) -> None:
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -319,20 +318,78 @@ def test_written_generated_cohort_matches_csv_writer(tmp_path):
     assert dataio.read_cohort_csv(tmp_path / "data.csv", horizon=10.0).ids == tuple(ids)
 
 
-def test_reader_holds_the_cohort_and_one_block(tmp_path):
-    # the raw lines, the id set and the per-block columns are released after
-    # their last read, so besides the cohort the reader holds one block's
-    # strings and the id set: 4.6 MiB at n = 50 000
+def test_reader_holds_the_cohort_and_one_block(tmp_path, traced_peak):
+    # the raw lines and the per-block columns are released after their last
+    # read, and the ids are kept as one string per block, so besides the
+    # cohort the reader holds one block's strings: 3.3 MiB at n = 50 000
     path = tmp_path / "data.csv"
     dataio.write_cohort_csv(generate(Scenario(n=50_000, seed=0)), path)
-    tracemalloc.start()
-    try:
-        cohort = dataio.read_cohort_csv(path)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cohort, held, peak = traced_peak(dataio.read_cohort_csv, path)
     assert len(cohort) == 50_000
     assert peak - held <= 6 * 2**20
+
+
+def test_quoted_reader_holds_the_cohort_and_one_block(tmp_path, traced_peak):
+    # csv.reader's rows of a quoted block become the same column lists as a
+    # plain block's lines: 3.9 MiB above the cohort at n = 50 000
+    g = generate(Scenario(n=50_000, seed=0))
+    ids = [f"s,{i}" for i in range(len(g))]
+    path = tmp_path / "data.csv"
+    quoted = Cohort.from_columns(ids, g.covariate_matrix, g.arms, g.times, g.events, g.horizon)
+    dataio.write_cohort_csv(quoted, path)
+    cohort, held, peak = traced_peak(dataio.read_cohort_csv, path)
+    assert peak - held <= 6 * 2**20
+    assert cohort.ids == tuple(ids)
+
+
+# A duplicate id is found after the last block, by sorting the ids' hashes.
+DUPLICATE_THEN_BAD_Z = (
+    "id,x1,z,time,event\n"
+    "a,0.5,1,1.0,1\n"
+    "b,0.5,0,1.0,1\n"
+    "c,0.5,1,1.0,1\n"
+    "a,0.5,0,2.0,0\n"
+    "d,0.5,1,1.0,1\n"
+    "e,0.5,2,1.0,1\n"
+)
+
+
+def colliding_hashes(ids):
+    return np.zeros(len(ids), dtype=np.int64)
+
+
+def test_duplicate_in_an_early_block_is_named_before_a_later_bad_row(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(DUPLICATE_THEN_BAD_Z)
+    with mock.patch.object(dataio, "CHUNK_ROWS", 2):
+        with pytest.raises(dataio.DatasetFormatError, match=r"line 5: duplicate subject id 'a'$"):
+            dataio.read_cohort_csv(path)
+
+
+def test_colliding_hashes_leave_a_unique_file_as_read(tmp_path):
+    path = tmp_path / "data.csv"
+    dataio.write_cohort_csv(generate(Scenario(n=300, seed=2)), path)
+    with mock.patch.object(dataio, "CHUNK_ROWS", 7):
+        expected = dataio.read_cohort_csv(path)
+        with mock.patch.object(dataio, "_id_hashes", colliding_hashes):
+            cohort = dataio.read_cohort_csv(path)
+    assert cohort == expected and cohort.ids == tuple(map(str, range(300)))
+    for name in ("covariate_matrix", "arms", "times", "events"):
+        a, b = getattr(cohort, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_colliding_hashes_still_find_a_duplicate(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(DUPLICATE_THEN_BAD_Z.replace("e,0.5,2,", "e,0.5,1,"))
+    (tmp_path / "scheme.json").write_text(json.dumps({"continuous_edges": [[0.0, 1.0]]}))
+    stderr = io.StringIO()
+    with mock.patch.object(dataio, "CHUNK_ROWS", 2), mock.patch.object(
+        dataio, "_id_hashes", colliding_hashes
+    ), contextlib.redirect_stderr(stderr):
+        code = main(["test", str(path), "--scheme", str(tmp_path / "scheme.json")])
+    assert code == 2
+    assert stderr.getvalue() == f"error: {path} line 5: duplicate subject id 'a'\n"
 
 
 def test_match_report_assignments_equal_the_oracle():
