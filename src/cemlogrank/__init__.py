@@ -17,7 +17,6 @@ from .matching import (
     CoarseningScheme,
     MatchReason,
     MatchedCohort,
-    StratumId,
     cem_weight,
     grid_scheme,
     match,
@@ -38,18 +37,8 @@ from .iptw import (
     fit_logistic,
     iptw_logrank,
     iptw_weights,
-    predict_propensity,
 )
-from .simulate import (
-    HazardModel,
-    Scenario,
-    assign_treatment,
-    assignment_probability,
-    draw_covariates,
-    draw_survival,
-    generate,
-    replicate_rng,
-)
+from .simulate import HazardModel, Scenario, generate
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -72,7 +61,6 @@ __all__ = [
     "CoarseningScheme",
     "MatchReason",
     "MatchedCohort",
-    "StratumId",
     "cem_weight",
     "grid_scheme",
     "match",
@@ -89,15 +77,9 @@ __all__ = [
     "fit_logistic",
     "iptw_logrank",
     "iptw_weights",
-    "predict_propensity",
     "HazardModel",
     "Scenario",
-    "assign_treatment",
-    "assignment_probability",
-    "draw_covariates",
-    "draw_survival",
     "generate",
-    "replicate_rng",
     "ExperimentConfig",
     "ExperimentResult",
     "MethodSummary",

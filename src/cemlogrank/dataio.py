@@ -284,9 +284,11 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
     r"""Write the cohort in the layout read_cohort_csv reads, byte for byte
     as csv.writer would: floats by repr, \r\n line endings, and an id quoted
     (its quotes doubled) only when it holds a comma, a quote or a line break.
-    Blocks of CHUNK_ROWS rows are formatted one column at a time.  An id that
-    UTF-8 cannot encode raises ConfigError naming it, and the partly written
-    file is removed."""
+    Blocks of CHUNK_ROWS rows are formatted one column at a time; ids given
+    as a ``range`` are sliced from it, so the cohort's id tuple is not built.
+    An id that UTF-8 cannot encode raises ConfigError naming it, and the
+    partly written file is removed."""
+    ids = cohort.ids if cohort._id_range is None else cohort._id_range
     d = cohort.covariate_matrix.shape[1]
     header = ["id"] + [f"x{j + 1}" for j in range(d)] + ["z", "time", "event"]
     flag = ("0", "1").__getitem__
@@ -296,7 +298,7 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
             for start in range(0, len(cohort), CHUNK_ROWS):
                 block = slice(start, start + CHUNK_ROWS)
                 columns = [
-                    _id_column(cohort.ids[block]),
+                    _id_column(ids[block]),
                     *(map(repr, column.tolist()) for column in cohort.covariate_matrix[block].T),
                     map(flag, cohort.arms[block].tolist()),
                     map(repr, cohort.times[block].tolist()),
@@ -308,7 +310,7 @@ def write_cohort_csv(cohort: Cohort, path) -> None:
         # the first id holding the failing character is the one written first
         Path(path).unlink()
         bad = exc.object[exc.start]
-        sid = next(sid for sid in map(str, cohort.ids) if bad in sid)
+        sid = next(sid for sid in map(str, ids) if bad in sid)
         raise ConfigError(f"subject id {sid!r} cannot be encoded as UTF-8") from None
 
 

@@ -245,9 +245,6 @@ class ExperimentResult:
     records: list[ReplicateRecord] = field(repr=False)
     summaries: dict[str, MethodSummary] = field(repr=False)
 
-    def method_records(self, method: str) -> list[ReplicateRecord]:
-        return [r for r in self.records if r.method == method]
-
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every replicate, in parallel when asked, and summarize per method."""

@@ -65,9 +65,6 @@ class WeightFunction:
         """Value at time s, a scalar or an array of times."""
         return np.take(self.values, np.searchsorted(self.breakpoints, s, side="left"))
 
-    def scaled(self, c: float) -> "WeightFunction":
-        return WeightFunction(self.breakpoints, tuple(c * v for v in self.values))
-
     def to_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
 

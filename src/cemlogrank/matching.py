@@ -75,13 +75,6 @@ class CoarseningScheme:
     def bins(self, dim: int) -> int:
         return len(self.continuous_edges[dim]) - 1
 
-    def max_cell_diameter(self) -> float:
-        """Largest cell diameter; binary dimensions contribute zero width."""
-        sq = 0.0
-        for edges in self.continuous_edges:
-            sq += max(b - a for a, b in zip(edges, edges[1:])) ** 2
-        return math.sqrt(sq)
-
     def to_dict(self) -> dict:
         return {
             "continuous_edges": [list(e) for e in self.continuous_edges],
@@ -264,10 +257,15 @@ class MatchedCohort:
         return tuple(np.searchsorted(keys, starts) for keys in self._risk_keys)
 
     @cached_property
+    def _last_control_rank(self) -> np.ndarray:
+        """Position of each matched cell's E_c on the cohort's time axis: the
+        rank part of the cell's last control key."""
+        return self._risk_keys[1][self._cell_bounds[1][1:] - 1] % len(self.cohort.time_axis[0])
+
+    @property
     def last_control_time(self) -> np.ndarray:
         """E_c: the largest observed control time in each matched cell."""
-        axis = self.cohort.time_axis[0]
-        return axis[self._risk_keys[1][self._cell_bounds[1][1:] - 1] % len(axis)]
+        return self.cohort.time_axis[0][self._last_control_rank]
 
     def _pooled_totals(self, k) -> tuple[np.ndarray, np.ndarray]:
         """Pooled at-risk totals (Y1, Y0) at the times whose positions on the
@@ -281,7 +279,7 @@ class MatchedCohort:
         axis, rank = self.cohort.time_axis
         treated = (self.cell >= 0) & (self.cohort.arms == 1)
         r1 = rank[treated]
-        effective = np.minimum(r1, np.searchsorted(axis, self.last_control_time)[self.cell[treated]])
+        effective = np.minimum(r1, self._last_control_rank[self.cell[treated]])
         return risk_set_sums(r1, len(axis))[k], risk_set_sums(effective, len(axis))[k]
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .logrank import WeightFunction
 from .matching import MatchedCohort, MatchReason
 from .simulate import HazardModel, Scenario, generate
@@ -116,24 +118,23 @@ class MartingaleResidual:
 
 def martingale_residual_mean(scenario: Scenario, replications: int) -> MartingaleResidual:
     """Mean residual (event indicator at the horizon minus the compensator
-    there) over fresh replicates, with its standard error."""
+    there) over fresh replicates, with its standard error.  Each replicate's
+    residuals are computed on the cohort's columns and summed with math.fsum."""
     if replications < 100:
         raise ValueError("need at least 100 replications")
-    total = 0.0
-    total_sq = 0.0
-    total_a = 0.0
+    hazard = scenario.hazard_model()
+    sums = []
     count = 0
     for r in range(replications):
         cohort = generate(scenario, replicate=r)
-        hazard = scenario.hazard_model()
-        for s in cohort.subjects:
-            n_tau = 1.0 if (s.event and s.observed_time <= cohort.horizon) else 0.0
-            a_tau = compensator(s, hazard, cohort.horizon)
-            resid = n_tau - a_tau
-            total += resid
-            total_sq += resid * resid
-            total_a += a_tau
-            count += 1
+        tau, t = cohort.horizon, cohort.times
+        n_tau = cohort.events & (t <= tau)
+        # as ``compensator``: the hazard accrues only while the subject is at risk
+        a_tau = np.minimum(tau, t) * hazard.rate(cohort.covariate_matrix, cohort.arms)
+        resid = n_tau - a_tau
+        sums.append([math.fsum(v.tolist()) for v in (resid, resid * resid, a_tau)])
+        count += len(cohort)
+    total, total_sq, total_a = map(math.fsum, zip(*sums))
     mean = total / count
     var = total_sq / count - mean * mean
     return MartingaleResidual(

@@ -70,6 +70,9 @@ class Cohort:
     events: np.ndarray
     horizon: float
 
+    # the ``range`` a cohort was given as its ids, which stands for the tuple
+    _id_range = None
+
     def __init__(self, subjects: Sequence[SubjectRecord], horizon: float):
         subjects = tuple(subjects)
         d = len(subjects[0].covariates) if subjects else 0
@@ -112,6 +115,7 @@ class Cohort:
     def _set_columns(self, ids, covariates, arms, times, events, horizon) -> None:
         if isinstance(ids, range):
             # unique by construction; the tuple is built on first use
+            self.__dict__["_id_range"] = ids
             self.__dict__["_build_ids"] = partial(tuple, ids)
         else:
             ids = tuple(ids)

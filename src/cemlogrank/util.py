@@ -36,16 +36,13 @@ def require_int(name: str, value, minimum: float = -math.inf, maximum: float = m
         raise ConfigError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
-def canonical_json(obj) -> str:
-    """Stable serialization used for fingerprints: sorted keys, no whitespace.
-    Non-finite floats are written as the reports write them (``-Infinity``),
-    since a config may hold one: a baseline log-hazard of -inf."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def fingerprint(obj) -> str:
-    """sha256 hex digest of the canonical JSON form of ``obj``."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    """sha256 hex digest of ``obj`` serialized as JSON with sorted keys and no
+    whitespace.  Non-finite floats are written as the reports write them
+    (``-Infinity``), since a config may hold one: a baseline log-hazard of
+    -inf."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def expit(x):

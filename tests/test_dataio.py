@@ -318,6 +318,14 @@ def test_written_generated_cohort_matches_csv_writer(tmp_path):
     assert dataio.read_cohort_csv(tmp_path / "data.csv", horizon=10.0).ids == tuple(ids)
 
 
+def test_writing_a_generated_cohort_leaves_its_ids_unbuilt(tmp_path):
+    # the ids are sliced from the cohort's range block by block
+    cohort = generate(Scenario(n=300, seed=7))
+    with mock.patch.object(dataio, "CHUNK_ROWS", 128):
+        dataio.write_cohort_csv(cohort, tmp_path / "data.csv")
+    assert "ids" not in cohort.__dict__
+
+
 def test_reader_holds_the_cohort_and_one_block(tmp_path, traced_peak):
     # the raw lines and the per-block columns are released after their last
     # read, and the ids are kept as one string per block, so besides the

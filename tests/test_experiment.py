@@ -44,12 +44,14 @@ class TestRunExperiment:
     def test_records_cover_every_replicate_and_method(self):
         res = run_experiment(tiny_config())
         assert len(res.records) == 24
-        assert [r.replicate for r in res.method_records("cem")] == list(range(12))
+        assert [r.replicate for r in res.records if r.method == "cem"] == list(range(12))
         assert {r.method for r in res.records} == {"cem", "iptw"}
 
     def test_same_cohort_shared_across_methods(self):
         res = run_experiment(tiny_config())
-        for c, i in zip(res.method_records("cem"), res.method_records("iptw")):
+        cem = [r for r in res.records if r.method == "cem"]
+        iptw = [r for r in res.records if r.method == "iptw"]
+        for c, i in zip(cem, iptw):
             assert c.replicate == i.replicate
             assert c.treated_total == i.treated_total
 
@@ -90,7 +92,7 @@ class TestRunExperiment:
         i = res.summaries["iptw"]
         assert i.omega_n_rate is None
         assert i.match_exponent_mean == pytest.approx(
-            float(np.mean([math.log(r.n1) / math.log(400) for r in res.method_records("iptw")]))
+            float(np.mean([math.log(r.n1) / math.log(400) for r in res.records if r.method == "iptw"]))
         )
 
     def test_samples_csv_shape(self):

@@ -20,10 +20,10 @@ from cemlogrank import (
     iptw_logrank,
     iptw_weights,
     match,
-    predict_propensity,
     run_test,
 )
 from cemlogrank import iptw
+from cemlogrank.iptw import predict_propensity
 from cemlogrank.cli import main
 from cemlogrank.dataio import write_cohort_csv
 from cemlogrank.oracle import classical_logrank

@@ -360,7 +360,7 @@ class TestScaleEquivariance:
             mc = random_instance(rng, two_cells=True)
             c = float(rng.uniform(0.1, 10.0))
             base = run_test(mc, wf)
-            scaled = run_test(mc, wf.scaled(c))
+            scaled = run_test(mc, WeightFunction(wf.breakpoints, tuple(c * v for v in wf.values)))
             assert scaled.standardized == pytest.approx(base.standardized, rel=1e-12, abs=1e-12)
 
 

@@ -56,12 +56,6 @@ class TestGridScheme:
     def test_single_cell(self):
         scheme = grid_scheme([0.0], [1.0], 1)
         assert scheme.continuous_edges == ((0.0, 1.0),)
-        assert scheme.max_cell_diameter() == 1.0
-
-    def test_max_diameter_rectangular(self):
-        scheme = grid_scheme([0.0, 0.0], [2.0, 4.0], 2)
-        # widths 1 and 2 per dimension
-        assert scheme.max_cell_diameter() == pytest.approx(math.sqrt(5.0), abs=1e-12)
 
     def test_zero_bins_rejected(self):
         with pytest.raises(ValueError):

@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cemlogrank import (
-    ConfigError,
-    HazardModel,
-    Scenario,
-    assignment_probability,
-    draw_covariates,
-    draw_survival,
-    fit_logistic,
-    generate,
-    replicate_rng,
-)
+from cemlogrank import ConfigError, HazardModel, Scenario, fit_logistic, generate
+from cemlogrank.simulate import assignment_probability, draw_covariates, draw_survival, replicate_rng
 
 
 class TestCovariates:
