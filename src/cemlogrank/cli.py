@@ -6,8 +6,6 @@ in the output, never encoded in the exit status.
 """
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -19,7 +17,7 @@ from .errors import (
     SeparationError,
     WeightOverflowError,
 )
-from .experiment import run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import run_test
 from .matching import match
@@ -41,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
     sim.add_argument("--config", type=Path, help="scenario JSON (overridden by flags)")
     sim.add_argument("--n", type=int)
-    sim.add_argument("--model", choices=["model1", "model2"])
+    sim.add_argument("--model", dest="assignment_model", choices=["model1", "model2"])
     sim.add_argument("--hypothesis", choices=["null", "alternative"])
     sim.add_argument("--seed", type=int)
     sim.add_argument("--censor-upper", type=float)
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--output", type=Path)
 
     exp = sub.add_parser("experiment", help="replicated simulation experiment")
-    exp.add_argument("--config", type=Path, required=True)
+    exp.add_argument("--config", type=Path, required=True, help="experiment JSON (overridden by flags)")
     exp.add_argument("--seed", type=int)
     exp.add_argument("--threads", type=int)
     exp.add_argument("--method", choices=["cem", "iptw", "both"])
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, output: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = dataio.json_text(payload)
     if output is None:
         sys.stdout.write(text)
     else:
@@ -90,30 +88,23 @@ def _emit(payload: dict, output: Path | None) -> None:
         print(f"wrote {output}")
 
 
-def _scenario_from_args(args) -> Scenario:
-    overrides = {
-        "n": args.n,
-        "assignment_model": args.model,
-        "hypothesis": args.hypothesis,
-        "seed": args.seed,
-        "censor_upper": args.censor_upper,
-        "horizon": args.horizon,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-
-    def build(base: dict) -> Scenario:
-        base = {**base, **overrides}
-        if "n" not in base:
-            raise ConfigError("simulate needs --n or a config with n")
-        return Scenario.from_dict(base)
-
-    if args.config:
-        return dataio.load_json_object(args.config, "scenario", build)
-    return build({})
+def _given(args, config_type) -> dict:
+    """The flags given on the command line that set a field of
+    ``config_type``, by field name (the flag's dest).  A command merges them
+    into its config file's object before building the config, so a flag
+    replaces the file's value, valid or not, and an error names the file."""
+    fields = config_type.__dataclass_fields__
+    return {name: value for name, value in vars(args).items() if name in fields and value is not None}
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario_from_args(args)
+    def build(data: dict) -> Scenario:
+        data = {**data, **_given(args, Scenario)}
+        if "n" not in data:
+            raise ConfigError("simulate needs --n or a config with n")
+        return Scenario.from_dict(data)
+
+    scenario = dataio.load_json_object(args.config, "scenario", build) if args.config else build({})
     cohort = generate(scenario, replicate=args.replicate)
     dataio.write_cohort_csv(cohort, args.output)
     print(f"wrote {args.output} ({len(cohort)} subjects)")
@@ -194,15 +185,13 @@ def _parse_features(text: str) -> tuple[int, ...]:
 
 
 def cmd_experiment(args) -> int:
-    config = dataio.load_experiment_config(args.config)
-    updates = {}
-    for name in ("threads", "method", "alpha", "theta", "replications"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    if args.seed is not None:
-        updates["scenario"] = dataclasses.replace(config.scenario, seed=args.seed)
-    config = dataclasses.replace(config, **updates)
+    def build(data: dict) -> ExperimentConfig:
+        data = {**data, **_given(args, ExperimentConfig)}
+        if args.seed is not None:
+            data["scenario"] = {**data["scenario"], "seed": args.seed}
+        return ExperimentConfig.from_dict(data)
+
+    config = dataio.load_json_object(args.config, "experiment config", build)
     result = run_experiment(config)
     summary_path, samples_path = dataio.write_experiment_outputs(result, args.output_dir)
     print(f"wrote {summary_path} and {samples_path}")

@@ -83,9 +83,18 @@ def nelson_aalen_difference(cohort: Cohort) -> float:
 
 
 def compensator(subject: SubjectRecord, hazard: HazardModel, t: float) -> float:
-    """Cumulative-hazard compensator at t: the hazard accrues only while the
-    subject is at risk, so it evaluates at min(t, observed_time)."""
-    return hazard.cumulative(min(t, subject.observed_time), subject.covariates, subject.arm)
+    """Cumulative-hazard compensator at t."""
+    return float(_compensators(hazard, t, subject.observed_time, subject.covariates, subject.arm))
+
+
+def _compensators(hazard: HazardModel, t, observed_times, covariates, arms):
+    """Compensator at t of one subject, or of each subject of columns: the
+    hazard accrues only while the subject is at risk, min(t, observed_time)
+    times the rate, and over an empty interval nothing accrues, even at an
+    infinite rate (where the product 0 * inf would be NaN)."""
+    at_risk = np.minimum(t, observed_times)
+    rate = hazard.rate(covariates, arms)
+    return np.multiply(at_risk, rate, out=np.zeros(np.shape(rate)), where=at_risk > 0)
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,7 @@ def martingale_residual_mean(scenario: Scenario, replications: int) -> Martingal
         cohort = generate(scenario, replicate=r)
         tau, t = cohort.horizon, cohort.times
         n_tau = cohort.events & (t <= tau)
-        # as ``compensator``: the hazard accrues only while the subject is at risk
-        a_tau = np.minimum(tau, t) * hazard.rate(cohort.covariate_matrix, cohort.arms)
+        a_tau = _compensators(hazard, tau, t, cohort.covariate_matrix, cohort.arms)
         resid = n_tau - a_tau
         sums.append([math.fsum(v.tolist()) for v in (resid, resid * resid, a_tau)])
         count += len(cohort)

@@ -161,7 +161,8 @@ class Cohort:
         return len(self.times)
 
     def __repr__(self) -> str:
-        return f"Cohort(ids={self.ids!r}, horizon={self.horizon!r})"
+        # the ids are left unbuilt: a cohort may hold millions
+        return f"Cohort(n={len(self)}, d={self.covariate_matrix.shape[1]}, horizon={self.horizon!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cohort):

@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemlogrank import __version__, dataio, match, run_test
+from cemlogrank import __version__, dataio, experiment, match, run_test
 from cemlogrank.cli import main
 
 SCHEME = {"box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0], "bins_per_dim": 4, "binary_dims": 2}
@@ -316,6 +317,14 @@ class TestExperiment:
         assert len(rows) == 3
         assert all(r.split(",")[1] == "cem" for r in rows[1:])
 
+    def test_config_and_grid_are_built_once(self, workdir):
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps(with_fields("experiment", replications=1, threads=1)))
+        with mock.patch.object(experiment, "grid_scheme", wraps=experiment.grid_scheme) as spy:
+            code = main(["experiment", "--config", str(cfg), "--seed", "4", "--alpha", "0.1",
+                         "--output-dir", str(workdir / "out")])
+        assert code == 0 and spy.call_count == 1
+
     def test_schema_violation_fails_before_work(self, workdir, capsys):
         cfg = self.config(workdir, replications=0)
         out = workdir / "never"
@@ -518,6 +527,19 @@ class TestPinnedOutputs:
         assert digests == [self.SIMULATE_SHA256, self.MATCH_SHA256]
 
 
+def test_reports_are_written_in_one_json_format(workdir):
+    data = simulate(workdir, n=100)
+    scheme = str(workdir / "scheme.json")
+    config = workdir / "config.json"
+    config.write_text(json.dumps(VALID_DOCS["experiment"]))
+    assert main(["match", str(data), "--scheme", scheme, "--output", str(workdir / "matched.json")]) == 0
+    assert main(["test", str(data), "--scheme", scheme, "--output", str(workdir / "result.json")]) == 0
+    assert main(["experiment", "--config", str(config), "--output-dir", str(workdir / "out")]) == 0
+    for path in (workdir / "matched.json", workdir / "result.json", workdir / "out" / "summary.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 # Values a hostile JSON file may hold in place of any field; the markers are
 # spliced in as raw JSON text: an array nested 100 000 deep, a literal too
 # large for a float and a large finite one.
@@ -602,13 +624,14 @@ def hostile_workdir(tmp_path_factory):
     return workdir
 
 
-def run_on_document(workdir, kind, text) -> tuple[int, str]:
-    """Exit code and stderr of the command that reads a ``kind`` document."""
+def run_on_document(workdir, kind, text, flags=()) -> tuple[int, str]:
+    """Exit code and stderr of the command that reads a ``kind`` document,
+    given ``flags`` as well."""
     path = workdir / "doc.json"
     path.write_text(text)
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        code = main([a.format(w=workdir, f=path) for a in ARGV[kind]])
+        code = main([a.format(w=workdir, f=path) for a in ARGV[kind]] + list(flags))
     return code, stderr.getvalue()
 
 
@@ -662,3 +685,26 @@ def test_rates_beyond_the_float_range_run_without_warning(hostile_workdir):
                       treatment_log_hazard=800, covariate_log_hazard=800)
     code, err = run_on_document(hostile_workdir, "experiment", render(doc))
     assert code == 0 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, field, file_value, flag_value",
+    [
+        ("simulate", "seed", 1, 4),
+        ("simulate", "seed", -1, 4),
+        ("experiment", "seed", 1, 4),
+        ("experiment", "seed", -1, 4),
+        ("experiment", "replications", 0, 1),
+    ],
+    ids=["simulate-seed", "simulate-bad-seed", "experiment-seed", "experiment-bad-seed",
+         "experiment-bad-replications"],
+)
+def test_flag_replaces_the_file_value_before_validation(workdir, kind, field, file_value, flag_value):
+    # a flag writes the same outputs as a file holding its value, whether
+    # the file's own value is valid or not
+    written = {"simulate": ["out.csv"], "experiment": ["out/summary.json", "out/samples.csv"]}[kind]
+    flags = [f"--{field}", str(flag_value)]
+    assert run_on_document(workdir, kind, render(with_fields(kind, **{field: file_value})), flags) == (0, "")
+    flagged = [(workdir / name).read_bytes() for name in written]
+    assert run_on_document(workdir, kind, render(with_fields(kind, **{field: flag_value}))) == (0, "")
+    assert [(workdir / name).read_bytes() for name in written] == flagged

@@ -326,10 +326,18 @@ def test_writing_a_generated_cohort_leaves_its_ids_unbuilt(tmp_path):
     assert "ids" not in cohort.__dict__
 
 
+def test_repr_of_a_read_cohort_leaves_its_ids_unbuilt(tmp_path):
+    path = tmp_path / "data.csv"
+    dataio.write_cohort_csv(generate(Scenario(n=300, seed=7)), path)
+    cohort = dataio.read_cohort_csv(path)
+    assert repr(cohort) == f"Cohort(n=300, d=5, horizon={cohort.horizon!r})"
+    assert "ids" not in cohort.__dict__
+
+
 def test_reader_holds_the_cohort_and_one_block(tmp_path, traced_peak):
     # the raw lines and the per-block columns are released after their last
     # read, and the ids are kept as one string per block, so besides the
-    # cohort the reader holds one block's strings: 3.3 MiB at n = 50 000
+    # cohort the reader holds one block's strings: 2.0 MiB at n = 50 000
     path = tmp_path / "data.csv"
     dataio.write_cohort_csv(generate(Scenario(n=50_000, seed=0)), path)
     cohort, held, peak = traced_peak(dataio.read_cohort_csv, path)
@@ -339,7 +347,7 @@ def test_reader_holds_the_cohort_and_one_block(tmp_path, traced_peak):
 
 def test_quoted_reader_holds_the_cohort_and_one_block(tmp_path, traced_peak):
     # csv.reader's rows of a quoted block become the same column lists as a
-    # plain block's lines: 3.9 MiB above the cohort at n = 50 000
+    # plain block's lines: 2.1 MiB above the cohort at n = 50 000
     g = generate(Scenario(n=50_000, seed=0))
     ids = [f"s,{i}" for i in range(len(g))]
     path = tmp_path / "data.csv"

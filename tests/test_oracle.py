@@ -82,6 +82,13 @@ class TestCompensator:
         s = subj("a", 0, math.exp(2.0), x=(0.0, 0.0, 0.0, 0.0, 0.0))
         assert compensator(s, self.HZ, 10.0 * math.exp(2.0)) == pytest.approx(1.0, rel=1e-14)
 
+    def test_infinite_rate_accrues_nothing_over_an_empty_interval(self):
+        # a covariate term beyond the float range gives an infinite rate
+        hazard = HazardModel(covariate_effect=1e308)
+        assert compensator(subj("a", 0, 0.0, x=(1.0,)), hazard, 5.0) == 0.0
+        assert compensator(subj("a", 0, 2.0, x=(1.0,)), hazard, 0.0) == 0.0
+        assert compensator(subj("a", 0, 2.0, x=(1.0,)), hazard, 1.0) == math.inf
+
     def test_path_nondecreasing(self):
         s = subj("a", 0, 4.0)
         cohort = Cohort(
@@ -110,6 +117,16 @@ class TestMartingaleResiduals:
         sc = Scenario(n=100, hypothesis="null", seed=2, baseline_log_hazard=-math.inf)
         out = martingale_residual_mean(sc, replications=100)
         assert out.mean == 0.0 and out.stderr == 0.0
+
+    def test_infinite_rates_give_defined_residuals(self):
+        # subjects with an infinite rate are drawn at time 0, those with a
+        # zero rate are censored: no hazard accrues to either, and every
+        # residual is its event indicator
+        sc = Scenario(n=10, seed=1, covariate_log_hazard=1e308)
+        out = martingale_residual_mean(sc, replications=100)
+        assert out.compensator_mean == 0.0
+        assert 0.0 < out.mean == out.residual_second_moment < 1.0
+        assert math.isfinite(out.stderr)
 
     def test_requires_enough_replications(self):
         with pytest.raises(ValueError):
