@@ -8,7 +8,6 @@ gathered in replicate order, so the worker count can never change any output.
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from statistics import NormalDist
 from typing import Literal, Optional
 
 import numpy as np
@@ -191,6 +190,9 @@ def _ks_distance(sorted_vals: np.ndarray) -> float:
 def summarize_method(
     records: list[ReplicateRecord], config: ExperimentConfig
 ) -> MethodSummary:
+    # statistics loads fractions, decimal and random; only experiments need it
+    from statistics import NormalDist
+
     vals = np.array([r.statistic for r in records], dtype=float)
     m = len(vals)
     alpha = config.alpha

@@ -35,10 +35,11 @@ MODEL2_INTERACTION = 0.5
 
 @dataclass(frozen=True)
 class HazardModel:
-    """Constant-in-time conditional hazard: the cumulative hazard is linear,
+    """Constant-in-time conditional hazard,
 
-        cumulative(t, x, z) = t * exp(log_baseline + arm_effect * z + covariate_effect * sum(x)).
-    """
+        rate(x, z) = exp(log_baseline + arm_effect * z + covariate_effect * sum(x)),
+
+    so the cumulative hazard up to time t is t * rate(x, z)."""
 
     log_baseline: float = -2.0
     arm_effect: float = 0.0
@@ -55,9 +56,6 @@ class HazardModel:
             return np.exp(
                 self.log_baseline + self.arm_effect * z + self.covariate_effect * np.sum(x, axis=-1)
             )
-
-    def cumulative(self, t: float, x, z: int) -> float:
-        return t * self.rate(x, z)
 
 
 @dataclass(frozen=True)

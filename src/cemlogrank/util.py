@@ -1,6 +1,5 @@
 """Small numeric and hashing helpers shared across the package."""
 
-import hashlib
 import json
 import math
 import numbers
@@ -8,6 +7,18 @@ import numbers
 import numpy as np
 
 from .errors import ConfigError
+
+# The interpreter's own sha256 gives the same digests as hashlib's, while
+# hashlib loads OpenSSL: 3.6 MB resident that `match` and `test` would carry
+# only to fingerprint their config.  The module is _sha2 from Python 3.12 and
+# _sha256 before it; hashlib serves an interpreter built without either.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def pinv(x: float) -> float:
@@ -42,7 +53,7 @@ def fingerprint(obj) -> str:
     (``-Infinity``), since a config may hold one: a baseline log-hazard of
     -inf."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def expit(x):

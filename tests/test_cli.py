@@ -62,9 +62,10 @@ class TestSimulate:
 
 
 # Modules that match and test never use: scipy's import costs over a second
-# of a cold start, and the simulation RNG and the process pool together
-# about 4 MB of its resident set.
-UNUSED_BY_TEST = ("scipy", "numpy.random", "concurrent.futures", "multiprocessing")
+# of a cold start.  Of the resident set, the simulation RNG and the process
+# pool together take about 4 MB, OpenSSL (_hashlib, loaded by hashlib) 3.6 MB
+# and statistics, with the fractions and decimal it loads, 0.5 MB.
+UNUSED_BY_TEST = ("scipy", "numpy.random", "concurrent.futures", "multiprocessing", "_hashlib", "statistics")
 
 
 def unused_modules_after(code: str) -> list[str]:
@@ -78,6 +79,13 @@ def unused_modules_after(code: str) -> list[str]:
     return [m for m in modules if any(m == u or m.startswith(u + ".") for u in UNUSED_BY_TEST)]
 
 
+def unused_modules_after_main(argv: list[str]) -> list[str]:
+    """The modules under UNUSED_BY_TEST that a fresh interpreter holds after
+    a successful ``main(argv)``."""
+    code = f"import sys\nfrom cemlogrank.cli import main\nif main({argv!r}) != 0:\n    sys.exit('{argv[0]} failed')"
+    return unused_modules_after(code)
+
+
 def test_import_loads_no_scipy():
     assert unused_modules_after("import cemlogrank.cli") == []
 
@@ -87,9 +95,16 @@ def test_test_command_loads_neither_the_rng_nor_the_pool(workdir, method):
     data = simulate(workdir, n=300)
     out = workdir / "result.json"
     argv = ["test", str(data), "--method", method, "--scheme", str(workdir / "scheme.json"), "--output", str(out)]
-    code = f"import sys\nfrom cemlogrank.cli import main\nif main({argv!r}) != 0:\n    sys.exit('test failed')"
-    assert unused_modules_after(code) == []
+    assert unused_modules_after_main(argv) == []
     assert json.loads(out.read_text())["method"] == method
+
+
+def test_match_command_loads_only_what_it_runs(workdir):
+    data = simulate(workdir, n=300)
+    out = workdir / "matched.json"
+    argv = ["match", str(data), "--scheme", str(workdir / "scheme.json"), "--output", str(out)]
+    assert unused_modules_after_main(argv) == []
+    assert json.loads(out.read_text())["n_subjects"] == 300
 
 
 def test_test_path_holds_each_subject_once(workdir, traced_peak):

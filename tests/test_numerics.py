@@ -1,8 +1,16 @@
 """The package's own special functions and summary statistics against scipy,
-used here as an independent reference; the package itself does not import it.
+and its fingerprint against hashlib, used here as independent references; the
+package itself imports neither where the interpreter has its own sha256.
 """
 
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -10,7 +18,7 @@ import pytest
 from scipy import special, stats
 
 from cemlogrank.experiment import _ks_distance, _skew
-from cemlogrank.util import expit
+from cemlogrank.util import expit, fingerprint
 
 
 class TestExpit:
@@ -63,3 +71,35 @@ def test_zero_spread_skew_is_none_where_scipy_gives_nan(value, m):
         assert np.isnan(stats.skew(vals))
     assert _skew(vals) is None
     assert _ks_distance(vals) == pytest.approx(stats.kstest(vals, "norm").statistic, abs=1e-12)
+
+
+# Each object with the canonical JSON that its fingerprint hashes.
+CANONICAL = [
+    ({"id": "Zoë", "site": "東京", "n": 2}, '{"id":"Zo\\u00eb","n":2,"site":"\\u6771\\u4eac"}'),
+    ({"baseline_log_hazard": -math.inf, "seed": 1}, '{"baseline_log_hazard":-Infinity,"seed":1}'),
+    ({"edges": [[-5.0, 0.5], [[], [1, {}]]], "a": {"b": {}}}, '{"a":{"b":{}},"edges":[[-5.0,0.5],[[],[1,{}]]]}'),
+    ({}, "{}"),
+]
+
+
+@pytest.mark.parametrize("obj, canonical", CANONICAL, ids=["non_ascii", "minus_infinity", "nested", "empty"])
+def test_fingerprint_is_the_sha256_of_the_canonical_json(obj, canonical):
+    assert fingerprint(obj) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_fingerprint_falls_back_to_hashlib_without_the_builtin_sha256():
+    # None in sys.modules makes an import of that name fail, as it does on an
+    # interpreter built without the module
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from cemlogrank import util\n"
+        "assert util.sha256 is hashlib.sha256\n"
+        "print(json.dumps([util.fingerprint(json.loads(text)) for text in json.load(sys.stdin)]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    texts = json.dumps([canonical for _, canonical in CANONICAL])
+    out = subprocess.run([sys.executable, "-c", code], input=texts, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [fingerprint(obj) for obj, _ in CANONICAL]

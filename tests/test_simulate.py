@@ -66,7 +66,7 @@ class TestHazardModel:
         sc = Scenario(n=10, hypothesis="null", seed=0)
         hz = sc.hazard_model()
         x = (0.3, -1.2, 0.7, 1.0, 0.0)
-        assert hz.cumulative(4.0, x, 1) == hz.cumulative(4.0, x, 0)
+        assert 4.0 * hz.rate(x, 1) == 4.0 * hz.rate(x, 0)
 
     def test_alternative_density_ratio_is_constant(self):
         sc = Scenario(n=10, hypothesis="alternative", seed=0)
@@ -74,12 +74,6 @@ class TestHazardModel:
         for x in ((0.0,) * 5, (1.0, -2.0, 0.5, 1.0, 1.0)):
             ratio = hz.rate(x, 1) / hz.rate(x, 0)
             assert ratio == pytest.approx(math.exp(-0.4), rel=1e-14)
-
-    def test_cumulative_linear_and_zero_at_origin(self):
-        hz = HazardModel()
-        x = (0.5, 0.5, 0.5, 1.0, 0.0)
-        assert hz.cumulative(0.0, x, 0) == 0.0
-        assert hz.cumulative(6.0, x, 0) == pytest.approx(2.0 * hz.cumulative(3.0, x, 0), rel=1e-14)
 
     def test_zero_baseline_gives_infinite_times(self):
         hz = HazardModel(log_baseline=-math.inf)
@@ -234,6 +228,6 @@ class TestStratumKaplanMeier:
         for probe in (2.0, 5.0, 8.0):
             km, se = km_with_se(probe)
             model_surv = float(
-                np.mean([math.exp(-hz.cumulative(probe, s.covariates, 0)) for s in stratum])
+                np.mean([math.exp(-probe * hz.rate(s.covariates, 0)) for s in stratum])
             )
             assert abs(km - model_surv) <= 2.576 * se
