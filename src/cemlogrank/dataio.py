@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from .survival import Cohort
 from .util import fingerprint
 
 
-# Records parsed per vectorized block.  Of a block only its column arrays,
-# its ids joined into one string and their hashes outlive it, so while
-# parsing the reader holds the cohort's data, 8 bytes per id and one block's
-# strings.
+# Records parsed per vectorized block.  A block's columns and id hashes are
+# copied into buffers for the whole file, and of the block itself only its
+# ids joined into one string outlive it, so while parsing the reader holds
+# the cohort's data, 8 bytes per id and one block's strings.
 CHUNK_ROWS = 2048
 
 # Characters for which csv.writer (QUOTE_MINIMAL, "\r\n" ending) quotes a field
@@ -42,13 +43,15 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     which it starts.
 
     Records are parsed in blocks of CHUNK_ROWS into column arrays, so the
-    whole file is never held as rows.  Each block's ids are kept as one
-    string and as an array of their hashes; the ids are checked for
-    duplicates once, at the end, by sorting the hashes and comparing the ids
-    of any equal hashes.  The cohort builds its id tuple only when asked.
-    So the working set is the cohort plus one block's strings: a traced peak
-    2.0 MiB above the 2.7 MiB cohort at 50 000 subjects.  A file that fails
-    any check is read again row by row to name the earliest bad row.
+    whole file is never held as rows, and each block's columns are copied
+    once, into buffers sized from the file.  Each block's ids are kept as one
+    string and their hashes in a buffer; the ids are checked for duplicates
+    once, at the end, by sorting the hashes and comparing the ids of any
+    equal hashes.  The cohort builds its id tuple only when asked.  So the
+    working set is the cohort plus its id hashes and one block's strings: a
+    traced peak 2.2 MiB above the 2.7 MiB cohort at 50 000 subjects, and
+    6.9 MiB above the 27.1 MiB cohort at 500 000.  A file that fails any
+    check is read again row by row to name the earliest bad row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -78,7 +81,13 @@ def _parse_cohort(fh, horizon, name) -> Cohort:
 
 def _parse_columns(fh, name) -> tuple:
     """The id blocks and the column arrays of a well-formed file; ValueError
-    or csv.Error when any row is bad."""
+    or csv.Error when any row is bad.
+
+    Each block's columns are copied once, into buffers sized at the first
+    rows: the file's size over their bytes per row, with 1/64 slack.  The
+    bytes are counted from below, so the guess tends to be high; buffers
+    that fall short (as for a pipe, whose size reads 0) grow by a quarter.
+    At the end they are trimmed to the rows read."""
     blocks = _record_blocks(fh)
     first = next(blocks, None)
     if first is None:
@@ -86,25 +95,72 @@ def _parse_columns(fh, name) -> tuple:
     (head,), _ = first
     header = _fields(head)
     _check_header(header, name)
-    width = len(header)
-    id_blocks, hashes, columns = [], [], ([], [], [], [])
+    width, d = len(header), len(header) - 4
+    size, seen = os.fstat(fh.fileno()).st_size, _least_bytes([head])
+    # covariates (d per row, column after column), arms, times, events and
+    # the ids' hashes
+    id_blocks, buffers, n = [], None, 0
     for records, _ in blocks:
+        if buffers is None:
+            seen += _least_bytes(records)
         # in place, so that emptying the list frees the block's strings,
         # which the suspended generator also refers to
         records[:] = filter(None, records)
         if records:
-            ids, *block_columns = _parse_block(records, width)
-            hashes.append(_id_hashes(ids))
+            ids, covariates, *rest = _parse_block(records, width)
+            stop = n + len(ids)
+            if buffers is None:
+                guess = stop * size // seen
+                buffers = _buffers(d, max(stop, guess + guess // 64))
+            elif stop > len(buffers[-1]):
+                _resize(buffers, d, n, max(stop, len(buffers[-1]) * 5 // 4))
+            cap = len(buffers[-1])
+            buffers[0].reshape(d, cap)[:, n:stop] = covariates.T
+            for buffer, column in zip(buffers[1:], [*rest, _id_hashes(ids)]):
+                buffer[n:stop] = column
+            n = stop
             joined = "\n".join(ids)
             # a quoted id may hold a line break; such a block keeps its list
             id_blocks.append(joined if joined.count("\n") == len(ids) - 1 else ids)
-            for column, block_column in zip(columns, block_columns):
-                column.append(block_column)
     if not id_blocks:
         raise DatasetFormatError(f"{name}: no data rows")
-    if not _ids_are_unique(_concatenated(hashes), id_blocks):
+    if not _ids_are_unique(buffers.pop()[:n], id_blocks):
         raise ValueError("duplicate id")
-    return id_blocks, *map(_concatenated, columns)
+    _resize(buffers, d, n, n)
+    covariates, arms, times, events = buffers
+    return id_blocks, covariates.reshape(d, n).T, arms, times, events
+
+
+def _least_bytes(records: list) -> int:
+    """The fewest bytes in which a block's records can be written: every
+    character takes at least one, and every field is followed by a comma or
+    a line ending."""
+    if isinstance(records[0], str):
+        return sum(map(len, records)) + len(records)
+    return sum(map(len, itertools.chain.from_iterable(records))) + sum(max(len(r), 1) for r in records)
+
+
+def _buffers(d: int, cap: int) -> list[np.ndarray]:
+    """Empty buffers for ``cap`` rows, in the order of ``_parse_columns``."""
+    dtypes = (float, np.int8, float, bool, np.int64)
+    return [np.empty(cap * k, dtype) for k, dtype in zip((d, 1, 1, 1, 1), dtypes)]
+
+
+def _resize(buffers: list, d: int, n: int, cap: int) -> None:
+    """Resize the reader's buffers in place to ``cap`` rows, keeping their
+    first n.  The d covariate columns lie end to end in ``buffers[0]``, so
+    each moves to its new offset: the last first when they spread out, the
+    first first when they close up.  Resizing skips numpy's reference check,
+    which is safe because no view of a buffer outlives the statement that
+    makes it before the last resize."""
+    old = len(buffers[-1])
+    covariates = buffers[0]
+    if cap > old:
+        covariates.resize(d * cap, refcheck=False)
+    for j in range(d - 1, 0, -1) if cap > old else range(1, d):
+        covariates[j * cap : j * cap + n] = covariates[j * old : j * old + n]
+    for buffer, k in zip(buffers, (d, 1, 1, 1, 1)):
+        buffer.resize(k * cap, refcheck=False)
 
 
 def _id_hashes(ids) -> np.ndarray:
@@ -127,14 +183,6 @@ def _ids_from_blocks(id_blocks: list) -> tuple[str, ...]:
     return tuple(
         itertools.chain.from_iterable(b.split("\n") if isinstance(b, str) else b for b in id_blocks)
     )
-
-
-def _concatenated(parts: list) -> np.ndarray:
-    """The arrays of ``parts`` end to end; the list is emptied, so that the
-    parts are freed once copied."""
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined
 
 
 def _raise_first_bad_row(fh, name) -> None:

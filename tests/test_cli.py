@@ -524,22 +524,56 @@ class TestUnusablePaths:
         assert len(errors) == 1 and named.format(w=workdir) in errors[0]
 
 
+def sha256_of(*paths) -> list[str]:
+    import hashlib
+
+    return [hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths]
+
+
 class TestPinnedOutputs:
     """``simulate`` and ``match`` outputs are pinned byte for byte to the
-    record-based implementation that preceded the columnar cohort."""
+    record-based implementation that preceded the columnar cohort; ``test``
+    and ``experiment`` outputs to the columnar code with its standardized
+    propensity fit (numpy 2.4.6, x86-64: the fit runs through LAPACK).
+    Reports fingerprint the dataset path, so every run uses relative paths."""
 
     SIMULATE_SHA256 = "52cad80df97182f1a57c466d64b84921048db9259f1c71efb5b3ea70b7acfd7f"
     MATCH_SHA256 = "e6bf94af228a25973b9afd38bc32a4d9a19fec0a70e9b45e2f0c6e219fc7a0f6"
+    TEST_SHA256 = {
+        "cem": "6a2f134bae2c4c1ac5a0e05dd8ee7f1682957351f0d755fdb23bb7c08b2832f0",
+        "cem_path": "260811e7b0ba629a14d1f7f840dcf01a18766489fea2f35af3e609154dec8d82",
+        "iptw": "07ea33fd3d935b7182bb8ab2e0e1a9fd7c4688e7e53cd5fb20c1d79963f2406c",
+    }
+    # summary.json, samples.csv
+    EXPERIMENT_SHA256 = [
+        "be57ccd9284446a3fa9b62fea6b68c6c2ffec4fe115dcb2dd55dcb490d9fcb77",
+        "22f53995634daada79726a5753437f6a0445c232693d10083fbfdbb3455369df",
+    ]
 
     def test_simulate_and_match_bytes(self, workdir, monkeypatch):
-        import hashlib
-
-        # the match report fingerprints the dataset path, so it stays relative
         monkeypatch.chdir(workdir)
         assert main(["simulate", "--n", "200", "--seed", "1", "--output", "data.csv"]) == 0
         assert main(["match", "data.csv", "--scheme", "scheme.json", "--output", "matched.json"]) == 0
-        digests = [hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in ("data.csv", "matched.json")]
-        assert digests == [self.SIMULATE_SHA256, self.MATCH_SHA256]
+        assert sha256_of("data.csv", "matched.json") == [self.SIMULATE_SHA256, self.MATCH_SHA256]
+
+    def test_test_bytes(self, workdir, monkeypatch):
+        # cem with a 3-step weight function, with and without the path, and iptw
+        monkeypatch.chdir(workdir)
+        Path("steps.json").write_text(json.dumps({"breakpoints": [2.0, 5.0], "values": [1.0, 0.8, 0.5]}))
+        assert main(["simulate", "--n", "200", "--seed", "1", "--output", "data.csv"]) == 0
+        runs = {"cem": [], "cem_path": ["--emit-path"], "iptw": ["--method", "iptw"]}
+        for name, extra in runs.items():
+            argv = ["test", "data.csv", "--scheme", "scheme.json", "--weight-fn", "steps.json", *extra]
+            assert main([*argv, "--output", f"{name}.json"]) == 0
+        assert dict(zip(runs, sha256_of(*(f"{name}.json" for name in runs)))) == self.TEST_SHA256
+
+    def test_experiment_bytes(self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        config = {"scenario": {"n": 2000, "assignment_model": "model2", "hypothesis": "null", "seed": 3},
+                  "replications": 12, "method": "both", "threads": 1}
+        Path("config.json").write_text(json.dumps(config))
+        assert main(["experiment", "--config", "config.json", "--output-dir", "out"]) == 0
+        assert sha256_of("out/summary.json", "out/samples.csv") == self.EXPERIMENT_SHA256
 
 
 def test_reports_are_written_in_one_json_format(workdir):
