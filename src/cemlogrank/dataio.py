@@ -3,6 +3,7 @@ experiment outputs.  Every emitted JSON embeds the library version and a
 fingerprint of the canonicalized configuration that produced it.
 """
 
+import contextlib
 import csv
 import functools
 import io
@@ -10,6 +11,9 @@ import itertools
 import json
 import math
 import os
+import shutil
+import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +55,30 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     working set is the cohort plus its id hashes and one block's strings: a
     traced peak 2.2 MiB above the 2.7 MiB cohort at 50 000 subjects, and
     6.9 MiB above the 27.1 MiB cohort at 500 000.  A file that fails any
-    check is read again row by row to name the earliest bad row.
+    check is read again row by row to name the earliest bad row; so input
+    that is not a regular file (a pipe, a FIFO) is first copied to an
+    anonymous temporary file.  The covariate matrix is C-ordered, as every
+    cohort's is.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _seekable(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         try:
             return _parse_cohort(fh, horizon, str(path))
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextlib.contextmanager
+def _seekable(path):
+    """The file at ``path`` open for binary reading, or, when it is not a
+    regular file and so may not seek, a temporary copy of its bytes."""
+    with open(path, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            yield fh
+            return
+        with tempfile.TemporaryFile() as copy:
+            shutil.copyfileobj(fh, copy)
+            copy.seek(0)
+            yield copy
 
 
 def _parse_cohort(fh, horizon, name) -> Cohort:
@@ -83,11 +104,11 @@ def _parse_columns(fh, name) -> tuple:
     """The id blocks and the column arrays of a well-formed file; ValueError
     or csv.Error when any row is bad.
 
-    Each block's columns are copied once, into buffers sized at the first
-    rows: the file's size over their bytes per row, with 1/64 slack.  The
-    bytes are counted from below, so the guess tends to be high; buffers
-    that fall short (as for a pipe, whose size reads 0) grow by a quarter.
-    At the end they are trimmed to the rows read."""
+    Each block's rows are copied once, into buffers sized at the first rows:
+    the file's size over their bytes per row, with 1/64 slack.  The bytes are
+    counted from below, so the guess tends to be high; buffers that fall
+    short grow by a quarter.  At the end they are trimmed to the rows read.
+    Every buffer is C-ordered, the covariates an n x d matrix."""
     blocks = _record_blocks(fh)
     first = next(blocks, None)
     if first is None:
@@ -95,10 +116,9 @@ def _parse_columns(fh, name) -> tuple:
     (head,), _ = first
     header = _fields(head)
     _check_header(header, name)
-    width, d = len(header), len(header) - 4
+    width = len(header)
     size, seen = os.fstat(fh.fileno()).st_size, _least_bytes([head])
-    # covariates (d per row, column after column), arms, times, events and
-    # the ids' hashes
+    # covariates, arms, times, events and the ids' hashes
     id_blocks, buffers, n = [], None, 0
     for records, _ in blocks:
         if buffers is None:
@@ -107,16 +127,16 @@ def _parse_columns(fh, name) -> tuple:
         # which the suspended generator also refers to
         records[:] = filter(None, records)
         if records:
-            ids, covariates, *rest = _parse_block(records, width)
+            ids, *columns = _parse_block(records, width)
+            columns.append(_id_hashes(ids))
             stop = n + len(ids)
             if buffers is None:
                 guess = stop * size // seen
-                buffers = _buffers(d, max(stop, guess + guess // 64))
-            elif stop > len(buffers[-1]):
-                _resize(buffers, d, n, max(stop, len(buffers[-1]) * 5 // 4))
-            cap = len(buffers[-1])
-            buffers[0].reshape(d, cap)[:, n:stop] = covariates.T
-            for buffer, column in zip(buffers[1:], [*rest, _id_hashes(ids)]):
+                cap = max(stop, guess + guess // 64)
+                buffers = [np.empty((cap, *column.shape[1:]), column.dtype) for column in columns]
+            elif stop > len(buffers[0]):
+                _resize(buffers, max(stop, len(buffers[0]) * 5 // 4))
+            for buffer, column in zip(buffers, columns):
                 buffer[n:stop] = column
             n = stop
             joined = "\n".join(ids)
@@ -126,9 +146,8 @@ def _parse_columns(fh, name) -> tuple:
         raise DatasetFormatError(f"{name}: no data rows")
     if not _ids_are_unique(buffers.pop()[:n], id_blocks):
         raise ValueError("duplicate id")
-    _resize(buffers, d, n, n)
-    covariates, arms, times, events = buffers
-    return id_blocks, covariates.reshape(d, n).T, arms, times, events
+    _resize(buffers, n)
+    return id_blocks, *buffers
 
 
 def _least_bytes(records: list) -> int:
@@ -140,27 +159,13 @@ def _least_bytes(records: list) -> int:
     return sum(map(len, itertools.chain.from_iterable(records))) + sum(max(len(r), 1) for r in records)
 
 
-def _buffers(d: int, cap: int) -> list[np.ndarray]:
-    """Empty buffers for ``cap`` rows, in the order of ``_parse_columns``."""
-    dtypes = (float, np.int8, float, bool, np.int64)
-    return [np.empty(cap * k, dtype) for k, dtype in zip((d, 1, 1, 1, 1), dtypes)]
-
-
-def _resize(buffers: list, d: int, n: int, cap: int) -> None:
-    """Resize the reader's buffers in place to ``cap`` rows, keeping their
-    first n.  The d covariate columns lie end to end in ``buffers[0]``, so
-    each moves to its new offset: the last first when they spread out, the
-    first first when they close up.  Resizing skips numpy's reference check,
-    which is safe because no view of a buffer outlives the statement that
-    makes it before the last resize."""
-    old = len(buffers[-1])
-    covariates = buffers[0]
-    if cap > old:
-        covariates.resize(d * cap, refcheck=False)
-    for j in range(d - 1, 0, -1) if cap > old else range(1, d):
-        covariates[j * cap : j * cap + n] = covariates[j * old : j * old + n]
-    for buffer, k in zip(buffers, (d, 1, 1, 1, 1)):
-        buffer.resize(k * cap, refcheck=False)
+def _resize(buffers: list, cap: int) -> None:
+    """Resize the reader's buffers in place to ``cap`` rows.  Each is
+    C-ordered, so the rows it keeps stay where they are.  Resizing skips
+    numpy's reference check, which is safe because no view of a buffer
+    outlives the statement that makes it before the last resize."""
+    for buffer in buffers:
+        buffer.resize((cap, *buffer.shape[1:]), refcheck=False)
 
 
 def _id_hashes(ids) -> np.ndarray:
@@ -418,9 +423,10 @@ def match_report(mc: MatchedCohort, config_source: dict) -> dict:
         warnings.append("no matched treated subjects")
     if mc.n1 + mc.n0 == 0:
         warnings.append("no subjects matched; scheme may not cover the data")
+    scheme = mc.scheme.to_dict()
     payload = {
-        "scheme": mc.scheme.to_dict(),
-        "scheme_fingerprint": fingerprint(mc.scheme.to_dict()),
+        "scheme": scheme,
+        "scheme_fingerprint": fingerprint(scheme),
         "n_subjects": len(mc.cohort),
         "n1": mc.n1,
         "n0": mc.n0,
@@ -440,8 +446,8 @@ def result_report(
 ) -> dict:
     payload = result.to_dict()
     if scheme is not None:
-        payload["scheme"] = scheme.to_dict()
-        payload["scheme_fingerprint"] = fingerprint(scheme.to_dict())
+        payload["scheme"] = scheme_dict = scheme.to_dict()
+        payload["scheme_fingerprint"] = fingerprint(scheme_dict)
     if model is not None:
         payload["model"] = model
     return _stamp(payload, config_source)

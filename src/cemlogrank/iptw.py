@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError, SeparationError, WeightOverflowError
-from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result
+from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result, check_decision
 from .survival import Cohort, SubjectId, risk_set_sums
 from .util import expit, pinv, pinv_array, require_int
 
@@ -196,6 +196,7 @@ def iptw_logrank(
     ``weights`` must be in cohort order (``weights.ids == cohort.ids``), as
     ``iptw_weights`` returns them; other weights raise ValueError.
     """
+    check_decision(alpha, direction)
     if weights.ids != cohort.ids:
         raise ValueError("weights must be given for the cohort's subjects, in cohort order")
     wf = weight_fn or WeightFunction.constant()

@@ -182,9 +182,9 @@ def _test_result(
     times, path, variance: float, alpha: float, direction: Direction, include_path: bool, **fields
 ) -> TestResult:
     """Standardize the path's last value (0 for an empty grid), compute its
-    normal tail p-values and the decision; ``fields`` carry the method's own
-    counts and flags."""
-    check_decision(alpha, direction)
+    normal tail p-values and the decision, for an alpha and a direction the
+    caller checked before its work; ``fields`` carry the method's own counts
+    and flags."""
     statistic = float(path[-1]) if len(path) else 0.0
     standardized = statistic * pinv(math.sqrt(variance))
     p_lower = norm_cdf(standardized)
@@ -220,6 +220,7 @@ def run_test(
     a standardized statistic of 0 and sets the degenerate flag; it is never an
     error.
     """
+    check_decision(alpha, direction)
     times, path = _matched_path(mc, weight_fn)
     return _test_result(
         times,

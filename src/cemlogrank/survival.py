@@ -62,6 +62,8 @@ class Cohort:
     columns.  ``subjects`` is a lazy row view that builds the records on first
     row access; its length needs no records.  A cohort given its ids as a
     ``range`` (or by the CSV reader) builds the ``ids`` tuple on first use.
+    The covariate matrix is C-ordered, a subject's covariates adjacent,
+    whichever way the cohort was built.
     """
 
     covariate_matrix: np.ndarray
@@ -102,10 +104,10 @@ class Cohort:
     @classmethod
     def _from_checked_columns(cls, build_ids, covariates, arms, times, events, horizon) -> "Cohort":
         """Cohort from columns its caller built and checked as ``from_columns``
-        does: a float n x d covariate matrix, int8 arms, float times and bool
-        events, all of length n, which are kept, not copied, and
-        ``build_ids()``, which returns the tuple of n unique ids on the first
-        use of ``ids``.  Only the horizon is checked here."""
+        does: a C-ordered float n x d covariate matrix, int8 arms, float
+        times and bool events, all of length n, which are kept, not copied,
+        and ``build_ids()``, which returns the tuple of n unique ids on the
+        first use of ``ids``.  Only the horizon is checked here."""
         _check_horizon(horizon)
         cohort = cls.__new__(cls)
         cohort.__dict__["_build_ids"] = build_ids
@@ -136,7 +138,7 @@ class Cohort:
             )
         if not isinstance(ids, range) and len(set(ids)) != n:
             raise ValueError("subject ids must be unique")
-        covariates = np.array(covariates, dtype=float)
+        covariates = np.array(covariates, dtype=float, order="C")
         if covariates.ndim != 2:
             raise ValueError("all subjects must share one covariate dimension")
         if not np.isfinite(covariates).all():

@@ -379,8 +379,8 @@ def test_reader_writes_each_column_once(tmp_path, traced_peak):
 
 
 def test_a_pipe_is_read_as_its_file(tmp_path):
-    # a pipe's size reads 0, so the buffers start at the first block's rows
-    # and grow; the covariate matrix keeps its Fortran order
+    # a pipe cannot seek back for the row-by-row reread, so its bytes are
+    # copied to a temporary file and read as a file of their size
     path = tmp_path / "data.csv"
     dataio.write_cohort_csv(generate(Scenario(n=1000, seed=4)), path)
     fifo = tmp_path / "pipe"
@@ -392,10 +392,88 @@ def test_a_pipe_is_read_as_its_file(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     expected = dataio.read_cohort_csv(path)
-    assert cohort == expected and cohort.covariate_matrix.flags.f_contiguous
+    assert cohort == expected and cohort.covariate_matrix.flags.c_contiguous
     for name in ("covariate_matrix", "arms", "times", "events"):
         a, b = getattr(cohort, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def read_through_a_fifo(tmp_path, data: bytes) -> Cohort:
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        return dataio.read_cohort_csv(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_a_bad_row_read_from_a_pipe_is_named(tmp_path):
+    # naming the row reads the input again from its start, which a pipe's
+    # temporary copy allows
+    text = "id,x1,z,time,event\na,0.5,1,1.0,1\nb,oops,0,2.0,1\n"
+    with pytest.raises(dataio.DatasetFormatError, match=r"fifo line 3: unparseable covariate$"):
+        read_through_a_fifo(tmp_path, text.encode())
+
+
+def test_a_regular_file_is_read_without_a_copy(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("id,x1,z,time,event\na,0.5,1,1.0,1\nb,oops,0,2.0,1\n")
+    with mock.patch.object(dataio.tempfile, "TemporaryFile", side_effect=AssertionError("copied")):
+        with pytest.raises(dataio.DatasetFormatError, match=r"line 3: unparseable covariate$"):
+            dataio.read_cohort_csv(path)
+
+
+def write_growing_file(cohort: Cohort, path) -> None:
+    """The cohort written with its first four ids 300 characters long: the
+    reader sizes its buffers from the first block's rows, so at 4 rows a
+    block they hold too few rows and grow."""
+    ids = ["L" * 296 + f"{i:04d}" if i < 4 else str(i) for i in range(len(cohort))]
+    columns = (cohort.covariate_matrix, cohort.arms, cohort.times, cohort.events, cohort.horizon)
+    dataio.write_cohort_csv(Cohort.from_columns(ids, *columns), path)
+
+
+def test_buffers_sized_from_long_first_rows_grow_to_the_file(tmp_path):
+    path = tmp_path / "data.csv"
+    write_growing_file(generate(Scenario(n=2004, seed=4)), path)
+    expected = dataio.read_cohort_csv(path)
+    resize = mock.Mock(wraps=dataio._resize)
+    with mock.patch.object(dataio, "CHUNK_ROWS", 4), mock.patch.object(dataio, "_resize", resize):
+        cohort = dataio.read_cohort_csv(path)
+    # every call but the last, which trims to the rows read, grows the buffers
+    assert resize.call_count > 4
+    assert cohort == expected and cohort.covariate_matrix.flags.c_contiguous
+    for name in ("covariate_matrix", "arms", "times", "events"):
+        a, b = getattr(cohort, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_every_route_to_a_cohort_gives_one_covariate_layout(tmp_path):
+    g = generate(Scenario(n=2004, seed=4))
+    columns = (g.arms, g.times, g.events, g.horizon)
+    fortran = np.asfortranarray(g.covariate_matrix)
+    assert not fortran.flags.c_contiguous
+    plain, quoted, growing = (tmp_path / name for name in ("plain.csv", "quoted.csv", "growing.csv"))
+    dataio.write_cohort_csv(g, plain)
+    ids = [f"s,{i}" for i in range(len(g))]
+    dataio.write_cohort_csv(Cohort.from_columns(ids, g.covariate_matrix, *columns), quoted)
+    write_growing_file(g, growing)
+    with mock.patch.object(dataio, "CHUNK_ROWS", 4):
+        grown = dataio.read_cohort_csv(growing)
+    cohorts = [
+        g,
+        Cohort.from_columns(range(len(g)), fortran, *columns),
+        Cohort(subjects=g.subjects, horizon=g.horizon),
+        dataio.read_cohort_csv(plain),
+        dataio.read_cohort_csv(quoted),
+        read_through_a_fifo(tmp_path, plain.read_bytes()),
+        grown,
+    ]
+    for cohort in cohorts:
+        matrix = cohort.covariate_matrix
+        assert matrix.flags.c_contiguous and matrix.tobytes() == g.covariate_matrix.tobytes()
 
 
 # A duplicate id is found after the last block, by sorting the ids' hashes.

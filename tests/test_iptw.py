@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from cemlogrank import (
     Cohort,
+    ConfigError,
     IptwWeights,
     RankDeficiencyError,
     SeparationError,
@@ -274,6 +275,13 @@ class TestIptwLogrank:
         cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         with pytest.raises(ValueError):
             iptw_logrank(cohort, IptwWeights(ids=("t",), values=(1.0,)))
+
+    def test_decision_inputs_are_checked_before_the_weights(self):
+        # weights that would fail their own check are not looked at
+        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
+        for kwargs in ({"alpha": 2.0}, {"direction": "sideways"}):
+            with pytest.raises(ConfigError):
+                iptw_logrank(cohort, IptwWeights(ids=("t",), values=(1.0,)), **kwargs)
 
     def test_metadata(self):
         cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cemlogrank import (
     Cohort,
+    ConfigError,
     Scenario,
     SubjectRecord,
     WeightFunction,
@@ -23,6 +24,7 @@ from cemlogrank import (
     statistic_path,
     variance_estimate,
 )
+from cemlogrank import logrank
 from cemlogrank.oracle import _naive_pooled, _naive_weight, statistic_by_enumeration, stratum_by_comparison
 from cemlogrank.survival import build_event_grid
 from cemlogrank.util import norm_sf
@@ -255,6 +257,17 @@ class TestRunTest:
             run_test(mc, alpha=0.0)
         with pytest.raises(ValueError):
             run_test(mc, direction="sideways")
+
+    def test_decision_inputs_are_checked_before_the_work(self, monkeypatch):
+        mc = single_cell([subj("t", 1, 3.0), subj("c", 0, 5.0)])
+
+        def no_path(*args):
+            raise AssertionError("the statistic path was built")
+
+        monkeypatch.setattr(logrank, "_matched_path", no_path)
+        for kwargs in ({"alpha": 2.0}, {"direction": "sideways"}):
+            with pytest.raises(ConfigError):
+                run_test(mc, **kwargs)
 
     def test_counts_and_flags_attached(self):
         scheme = grid_scheme([0.0], [1.0], 2)
