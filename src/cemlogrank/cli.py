@@ -131,8 +131,15 @@ def cmd_match(args) -> int:
 def cmd_test(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
-    cohort = dataio.read_cohort_csv(args.dataset, horizon=args.horizon)
+    # every flag and the files it names are checked before the dataset is read
     weight_fn = dataio.load_weight_fn(args.weight_fn) if args.weight_fn else None
+    if args.method == "cem":
+        if not args.scheme:
+            raise ConfigError("--method cem requires --scheme")
+        scheme = dataio.load_scheme(args.scheme)
+    else:
+        features = _parse_features(args.features)
+    cohort = dataio.read_cohort_csv(args.dataset, horizon=args.horizon)
     config_source = {
         "command": "test",
         "dataset": str(args.dataset),
@@ -143,9 +150,6 @@ def cmd_test(args) -> int:
         "weight_fn": weight_fn.to_dict() if weight_fn else None,
     }
     if args.method == "cem":
-        if not args.scheme:
-            raise ConfigError("--method cem requires --scheme")
-        scheme = dataio.load_scheme(args.scheme)
         config_source["scheme"] = scheme.to_dict()
         result = run_test(
             match(cohort, scheme),
@@ -156,7 +160,6 @@ def cmd_test(args) -> int:
         )
         report = dataio.result_report(result, config_source, scheme=scheme)
     else:
-        features = _parse_features(args.features)
         config_source["features"] = list(features)
         model = fit_logistic(cohort, features)
         result = iptw_logrank(

@@ -1,9 +1,12 @@
 """Independent brute-force references used to verify the main code paths.
 
-Everything here is deliberately naive (direct transcriptions of defining sums,
-quadratic scans, no shared code with the optimized sweeps) so that agreement
-between this module and the main path is real evidence, not self-confirmation.
-Shipped with the library so users can re-run the cross-checks on their data.
+Everything here is deliberately naive: each defining sum is transcribed
+directly, as a loop over time points, and the sum at one time runs over every
+subject at once as numpy masks over the cohort's columns (O(n) memory, O(n·G)
+work for G time points).  Nothing is shared with the optimized sweeps (no
+time axis, no cell keys, no running sums), so agreement between this module
+and the main path is real evidence, not self-confirmation.  Shipped with the
+library so users can re-run the cross-checks on their data.
 """
 
 import functools
@@ -18,7 +21,22 @@ from .logrank import WeightFunction
 from .matching import MatchedCohort, MatchReason
 from .simulate import HazardModel, Scenario, generate
 from .survival import Cohort, EventGrid, SubjectRecord
-from .util import pinv
+from .util import pinv, pinv_array
+
+
+def _distinct_times(cohort: Cohort, among: np.ndarray) -> list[float]:
+    """The distinct observed times in (0, horizon] of the subjects ``among``
+    selects, ascending."""
+    t = cohort.times
+    return sorted(set(t[among & (t > 0.0) & (t <= cohort.horizon)].tolist()))
+
+
+def _two_sample_counts(cohort: Cohort, t: float) -> tuple[int, int, int, int]:
+    """(Y1, Y0, d1, d0): the treated and the controls at risk at t, and the
+    treated and the controls with an event at t."""
+    treated = cohort.arms == 1
+    dies = cohort.events & (cohort.times == t)
+    return tuple(np.count_nonzero(m & a) for m in (cohort.times >= t, dies) for a in (treated, ~treated))
 
 
 @dataclass(frozen=True)
@@ -38,20 +56,12 @@ def classical_logrank(cohort: Cohort) -> ClassicalLogrank:
     d1 - d * Y1 / Ybar, variance adds Y1 * Y0 * d * (Ybar - d) /
     (Ybar^2 * (Ybar - 1)), the latter dropped when only one subject remains.
     """
-    subjects = cohort.subjects
-    if not any(s.arm == 1 for s in subjects) or not any(s.arm == 0 for s in subjects):
+    if cohort.arms.all() or not cohort.arms.any():
         raise ValueError("classical log-rank needs both arms nonempty")
-    event_times = sorted(
-        {s.observed_time for s in subjects if s.event and 0.0 < s.observed_time <= cohort.horizon}
-    )
-    numer_terms = []
-    var_terms = []
-    for t in event_times:
-        y1 = sum(1 for s in subjects if s.arm == 1 and s.observed_time >= t)
-        y0 = sum(1 for s in subjects if s.arm == 0 and s.observed_time >= t)
+    numer_terms, var_terms = [], []
+    for t in _distinct_times(cohort, cohort.events):
+        y1, y0, d1, d0 = _two_sample_counts(cohort, t)
         ybar = y1 + y0
-        d1 = sum(1 for s in subjects if s.arm == 1 and s.event and s.observed_time == t)
-        d0 = sum(1 for s in subjects if s.arm == 0 and s.event and s.observed_time == t)
         d = d1 + d0
         numer_terms.append(d1 - d * y1 / ybar)
         if ybar > 1:
@@ -68,32 +78,25 @@ def classical_logrank(cohort: Cohort) -> ClassicalLogrank:
 def nelson_aalen_difference(cohort: Cohort) -> float:
     """Difference of cumulative hazard-increment sums between arms:
     sum over event times of d1/Y1 - d0/Y0, risk sets enumerated directly."""
-    subjects = cohort.subjects
-    event_times = sorted(
-        {s.observed_time for s in subjects if s.event and 0.0 < s.observed_time <= cohort.horizon}
-    )
     terms = []
-    for t in event_times:
-        y1 = sum(1 for s in subjects if s.arm == 1 and s.observed_time >= t)
-        y0 = sum(1 for s in subjects if s.arm == 0 and s.observed_time >= t)
-        d1 = sum(1 for s in subjects if s.arm == 1 and s.event and s.observed_time == t)
-        d0 = sum(1 for s in subjects if s.arm == 0 and s.event and s.observed_time == t)
+    for t in _distinct_times(cohort, cohort.events):
+        y1, y0, d1, d0 = _two_sample_counts(cohort, t)
         terms.append(pinv(float(y1)) * d1 - pinv(float(y0)) * d0)
     return math.fsum(terms)
 
 
 def compensator(subject: SubjectRecord, hazard: HazardModel, t: float) -> float:
     """Cumulative-hazard compensator at t."""
-    return float(_compensators(hazard, t, subject.observed_time, subject.covariates, subject.arm))
+    return float(_accrued(t, subject.observed_time, hazard.rate(subject.covariates, subject.arm)))
 
 
-def _compensators(hazard: HazardModel, t, observed_times, covariates, arms):
-    """Compensator at t of one subject, or of each subject of columns: the
-    hazard accrues only while the subject is at risk, min(t, observed_time)
-    times the rate, and over an empty interval nothing accrues, even at an
-    infinite rate (where the product 0 * inf would be NaN)."""
+def _accrued(t, observed_times, rate):
+    """Compensator at t of one subject, or of each subject of columns, at its
+    hazard rate: the hazard accrues only while the subject is at risk,
+    min(t, observed_time) times the rate, and over an empty interval nothing
+    accrues, even at an infinite rate (where the product 0 * inf would be
+    NaN)."""
     at_risk = np.minimum(t, observed_times)
-    rate = hazard.rate(covariates, arms)
     return np.multiply(at_risk, rate, out=np.zeros(np.shape(rate)), where=at_risk > 0)
 
 
@@ -138,7 +141,7 @@ def martingale_residual_mean(scenario: Scenario, replications: int) -> Martingal
         cohort = generate(scenario, replicate=r)
         tau, t = cohort.horizon, cohort.times
         n_tau = cohort.events & (t <= tau)
-        a_tau = _compensators(hazard, tau, t, cohort.covariate_matrix, cohort.arms)
+        a_tau = _accrued(tau, t, hazard.rate(cohort.covariate_matrix, cohort.arms))
         resid = n_tau - a_tau
         sums.append([math.fsum(v.tolist()) for v in (resid, resid * resid, a_tau)])
         count += len(cohort)
@@ -156,7 +159,7 @@ def martingale_residual_mean(scenario: Scenario, replications: int) -> Martingal
 
 # ---------------------------------------------------------------------------
 # Naive evaluation of the matched weighted statistic, straight from the
-# defining sums.  O(n^2) per time point; test-scale inputs only.
+# defining sums: each time point recounts every cell's risk sets from scratch.
 
 
 @functools.lru_cache(maxsize=8)
@@ -179,10 +182,11 @@ def stratum_by_comparison(mc: MatchedCohort) -> Mapping:
             return tuple(b[0] for b in bins) + tuple(int(v) for v in binary)
         return None
 
-    cells = {s.id: cell_of(s.covariates) for s in mc.cohort.subjects}
+    cohort = mc.cohort
+    cells = dict(zip(cohort.ids, map(cell_of, cohort.covariate_matrix.tolist())))
     arms_in = {}
-    for s in mc.cohort.subjects:
-        arms_in.setdefault(cells[s.id], set()).add(s.arm)
+    for cell, arm in zip(cells.values(), cohort.arms.tolist()):
+        arms_in.setdefault(cell, set()).add(arm)
     return MappingProxyType({
         sid: MatchReason.OUTSIDE_REGION if cell is None
         else cell if arms_in[cell] == {0, 1}
@@ -191,54 +195,71 @@ def stratum_by_comparison(mc: MatchedCohort) -> Mapping:
     })
 
 
-def _matched(mc: MatchedCohort, subject: SubjectRecord) -> bool:
-    return not isinstance(stratum_by_comparison(mc)[subject.id], MatchReason)
-
-
-def _naive_cellmates(mc: MatchedCohort, cell) -> list[SubjectRecord]:
+@functools.lru_cache(maxsize=8)
+def _cell_labels(mc: MatchedCohort) -> np.ndarray:
+    """Each subject's matched cell by ``stratum_by_comparison``, numbered 1,
+    2, ... in order of first appearance, or 0 when the subject is unmatched;
+    cached and read-only as that mapping is."""
     strata = stratum_by_comparison(mc)
-    return [s for s in mc.cohort.subjects if strata[s.id] == cell]
+    numbers = {}
+    labels = np.array([
+        0 if isinstance(cell, MatchReason) else numbers.setdefault(cell, len(numbers) + 1)
+        for cell in map(strata.__getitem__, mc.cohort.ids)
+    ], dtype=np.intp)
+    labels.setflags(write=False)
+    return labels
 
 
-def _naive_weight(mc: MatchedCohort, subject: SubjectRecord, t: float) -> float:
-    cell = stratum_by_comparison(mc)[subject.id]
-    if isinstance(cell, MatchReason):
-        return 0.0
-    if subject.arm == 1:
-        return 1.0
-    mates = _naive_cellmates(mc, cell)
-    den = sum(1.0 for m in mates if m.arm == 0 and m.observed_time >= t)
-    num = sum(1.0 for m in mates if m.arm == 1 and m.observed_time >= t)
-    return pinv(den) * num
+def weights_by_enumeration(mc: MatchedCohort, t: float) -> np.ndarray:
+    """Each subject's weight at t, in subject order: 1 for a matched treated
+    subject, pinv(r0) * r1 for a matched control, where r1 and r0 count the
+    treated and the controls of its cell at risk at t, and 0 when unmatched."""
+    labels = _cell_labels(mc)
+    treated = mc.cohort.arms == 1
+    at_risk = mc.cohort.times >= t
+    size = labels.max() + 1
+    r1 = np.bincount(labels[at_risk & treated], minlength=size)
+    r0 = np.bincount(labels[at_risk & ~treated], minlength=size)
+    control_weight = pinv_array(r0) * r1
+    return np.where(labels == 0, 0.0, np.where(treated, 1.0, control_weight[labels]))
 
 
-def _naive_pooled(mc: MatchedCohort, arm: int, t: float) -> float:
-    return math.fsum(
-        _naive_weight(mc, s, t) * (1.0 if s.observed_time >= t else 0.0)
-        for s in mc.cohort.subjects
-        if s.arm == arm and _matched(mc, s)
-    )
+def _pooled(cohort: Cohort, weights: np.ndarray, arm: int, t: float) -> float:
+    return math.fsum(weights[(cohort.arms == arm) & (cohort.times >= t)].tolist())
+
+
+def pooled_by_enumeration(mc: MatchedCohort, arm: int, t: float) -> float:
+    """Weighted at-risk total of ``arm`` at t: the fsum of the weights at t of
+    its subjects at risk at t."""
+    return _pooled(mc.cohort, weights_by_enumeration(mc, t), arm, t)
+
+
+def _kernel(mc: MatchedCohort, weight_fn: WeightFunction | None):
+    """t -> (weights at t, Y1(t), Y0(t), K(t)), the pooled totals by
+    enumeration and K(t) = sqrt(Y(0) / (Y1(0) Y0(0))) Y1(t) Y0(t) / Y(t) W(t)."""
+    wf = weight_fn or WeightFunction.constant()
+    y1_0, y0_0 = (pooled_by_enumeration(mc, arm, 0.0) for arm in (1, 0))
+    front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
+
+    def at(t: float):
+        w = weights_by_enumeration(mc, t)
+        y1, y0 = (_pooled(mc.cohort, w, arm, t) for arm in (1, 0))
+        return w, y1, y0, front * pinv(y1 + y0) * y1 * y0 * wf.value_at(t)
+
+    return at
 
 
 def statistic_by_enumeration(mc: MatchedCohort, weight_fn: WeightFunction | None = None) -> float:
     """Matched weighted log-rank statistic at the horizon, recomputed from the
     defining sums at each event time in (0, horizon] without any state."""
-    wf = weight_fn or WeightFunction.constant()
-    subjects = mc.cohort.subjects
-    event_times = sorted(
-        {s.observed_time for s in subjects if s.event and 0.0 < s.observed_time <= mc.cohort.horizon}
-    )
-    y1_0 = _naive_pooled(mc, 1, 0.0)
-    y0_0 = _naive_pooled(mc, 0, 0.0)
-    front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
+    kernel_at = _kernel(mc, weight_fn)
+    cohort = mc.cohort
+    matched_events = (_cell_labels(mc) > 0) & cohort.events
     terms = []
-    for t in event_times:
-        y1 = _naive_pooled(mc, 1, t)
-        y0 = _naive_pooled(mc, 0, t)
-        k = front * pinv(y1 + y0) * y1 * y0 * wf.value_at(t)
-        events = [s for s in subjects if s.event and s.observed_time == t]
-        dn1 = math.fsum(_naive_weight(mc, s, t) for s in events if s.arm == 1 and _matched(mc, s))
-        dn0 = math.fsum(_naive_weight(mc, s, t) for s in events if s.arm == 0 and _matched(mc, s))
+    for t in _distinct_times(cohort, cohort.events):
+        w, y1, y0, k = kernel_at(t)
+        dies = matched_events & (cohort.times == t)
+        dn1, dn0 = (math.fsum(w[dies & (cohort.arms == arm)].tolist()) for arm in (1, 0))
         terms.append(k * (pinv(y1) * dn1 - pinv(y0) * dn0))
     return math.fsum(terms)
 
@@ -275,56 +296,28 @@ def statistic_decomposition(
     evaluated at the right endpoint of each interval (left-continuous
     processes are constant on the open interval and at its right end).
     """
-    wf = weight_fn or WeightFunction.constant()
-    tau = mc.cohort.horizon
-    subjects = mc.cohort.subjects
-    matched = [s for s in subjects if _matched(mc, s)]
+    kernel_at = _kernel(mc, weight_fn)
+    cohort = mc.cohort
+    matched = _cell_labels(mc) > 0
+    rates = hazard.rate(cohort.covariate_matrix, cohort.arms)
+    arms = {arm: matched & (cohort.arms == arm) for arm in (1, 0)}
 
-    y1_0 = _naive_pooled(mc, 1, 0.0)
-    y0_0 = _naive_pooled(mc, 0, 0.0)
-    front = math.sqrt((y1_0 + y0_0) * pinv(y1_0 * y0_0))
-
-    def naive_kernel(t: float) -> float:
-        y1 = _naive_pooled(mc, 1, t)
-        y0 = _naive_pooled(mc, 0, t)
-        return front * pinv(y1 + y0) * y1 * y0 * wf.value_at(t)
-
-    # event-driven halves: sum of K * pinv(pooled) * weight over own-arm events
-    event_half = {1: [], 0: []}
-    for s in matched:
-        if s.event and 0.0 < s.observed_time <= tau:
-            arm = s.arm
-            t = s.observed_time
-            pooled = _naive_pooled(mc, arm, t)
-            event_half[arm].append(
-                naive_kernel(t) * pinv(pooled) * _naive_weight(mc, s, t)
-            )
-
-    # compensator-driven and drift halves over the interval partition
-    cuts = sorted({s.observed_time for s in matched if s.observed_time <= tau} | {tau})
-    comp_half = {1: [], 0: []}
-    drift_half = {1: [], 0: []}
+    # over the interval partition (lo, hi]: the event-driven halves sum
+    # K * pinv(pooled) * weight over the arm's events at hi, the
+    # compensator-driven and drift halves integrate over the interval
+    event_half, comp_half, drift_half = ({1: [], 0: []} for _ in range(3))
     lo = 0.0
-    for hi in cuts:
-        if hi <= lo:
-            lo = hi
-            continue
-        k = naive_kernel(hi)
-        for arm in (1, 0):
-            pooled_inv = pinv(_naive_pooled(mc, arm, hi))
-            comp_terms = 0.0
-            drift_terms = 0.0
-            for s in matched:
-                if s.arm != arm:
-                    continue
-                w = _naive_weight(mc, s, hi)
-                comp_terms += w * (
-                    compensator(s, hazard, hi) - compensator(s, hazard, lo)
-                )
-                at_risk = 1.0 if s.observed_time >= hi else 0.0
-                drift_terms += w * at_risk * hazard.rate(s.covariates, arm) * (hi - lo)
-            comp_half[arm].append(k * pooled_inv * comp_terms)
-            drift_half[arm].append(k * pooled_inv * drift_terms)
+    for hi in sorted({*_distinct_times(cohort, matched), cohort.horizon}):
+        w, y1, y0, k = kernel_at(hi)
+        dies = cohort.events & (cohort.times == hi)
+        for arm, pooled in ((1, y1), (0, y0)):
+            sel, scale = arms[arm], k * pinv(pooled)
+            times, rate, weight = cohort.times[sel], rates[sel], w[sel]
+            event_half[arm].extend((scale * weight[dies[sel]]).tolist())
+            accrued = _accrued(hi, times, rate) - _accrued(lo, times, rate)
+            drift = weight * (times >= hi) * rate * (hi - lo)
+            comp_half[arm].append(scale * math.fsum((weight * accrued).tolist()))
+            drift_half[arm].append(scale * math.fsum(drift.tolist()))
         lo = hi
 
     return DriftDecomposition(

@@ -407,6 +407,26 @@ class TestFlagValidation:
         assert err.startswith("error:") and "horizon" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ([], "--method cem requires --scheme"),
+            (["--scheme", "{w}/missing.json"], "{w}/missing.json"),
+            (["--scheme", "{w}/scheme.json", "--weight-fn", "{w}/missing.json"], "{w}/missing.json"),
+            (["--method", "iptw", "--features", "y1"], "bad feature column 'y1'"),
+        ],
+        ids=["no-scheme", "scheme-file", "weight-fn-file", "features"],
+    )
+    def test_flags_are_checked_before_the_dataset_is_read(self, workdir, capsys, monkeypatch, argv, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(dataio, "read_cohort_csv", refuse)
+        code = main(["test", str(workdir / "data.csv"), *(a.format(w=workdir) for a in argv)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and named.format(w=workdir) in err
+
 
 class TestLibraryChecksExit2:
     """Values the library's own checks reject exit 2 with one error line;

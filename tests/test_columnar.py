@@ -16,6 +16,7 @@ from cemlogrank import (
     MatchedCohort,
     Scenario,
     SubjectRecord,
+    WeightFunction,
     fit_logistic,
     generate,
     grid_scheme,
@@ -23,7 +24,9 @@ from cemlogrank import (
     iptw_weights,
     match,
     run_replicate,
+    statistic_path,
 )
+from cemlogrank import oracle
 from cemlogrank.cli import main
 from cemlogrank.dataio import read_cohort_csv, write_cohort_csv
 
@@ -87,6 +90,25 @@ class TestNoRecordsOnProductionPaths:
         assert not hasattr(IptwWeights, "by_id")
         records_forbidden(monkeypatch)
         iptw_logrank(cohort, weights)
+
+
+def test_oracle_builds_no_records(monkeypatch):
+    # the oracle sums over the cohort's columns; it never reads the row view
+    cohort = generate(Scenario(n=300, seed=7))
+    mc = match(cohort, grid_scheme(SCHEME["box_lo"], SCHEME["box_hi"], 4, 2))
+    wf = WeightFunction(breakpoints=(4.0,), values=(1.0, 0.5))
+    records_forbidden(monkeypatch)
+    assert oracle.stratum_by_comparison(mc) == mc.stratum_of
+    for weight_fn in (None, wf):
+        assert oracle.statistic_by_enumeration(mc, weight_fn) == pytest.approx(
+            statistic_path(mc, weight_fn)[-1][1], abs=1e-12
+        )
+    decomposition = oracle.statistic_decomposition(mc, Scenario(n=300, seed=7).hazard_model())
+    assert decomposition.total == pytest.approx(statistic_path(mc)[-1][1], abs=1e-10)
+    assert math.isfinite(oracle.classical_logrank(cohort).standardized)
+    assert math.isfinite(oracle.nelson_aalen_difference(cohort))
+    assert len(oracle.weights_by_enumeration(mc, 5.0)) == len(cohort)
+    assert oracle.pooled_by_enumeration(mc, 1, 0.0) == mc.n1
 
 
 class TestNoRowChurn:

@@ -25,7 +25,12 @@ from cemlogrank import (
     variance_estimate,
 )
 from cemlogrank import logrank
-from cemlogrank.oracle import _naive_pooled, _naive_weight, statistic_by_enumeration, stratum_by_comparison
+from cemlogrank.oracle import (
+    pooled_by_enumeration,
+    statistic_by_enumeration,
+    stratum_by_comparison,
+    weights_by_enumeration,
+)
 from cemlogrank.survival import build_event_grid
 from cemlogrank.util import norm_sf
 
@@ -349,9 +354,9 @@ def test_multi_cell_agreement_with_oracle(instance):
     assert final == pytest.approx(statistic_by_enumeration(mc, wf), abs=1e-12)
     for t in (0.0, *grid.times, mc.cohort.horizon, 7.5):
         for arm in (1, 0):
-            assert pooled_at_risk(mc, arm, t) == pytest.approx(_naive_pooled(mc, arm, t), abs=1e-12)
-        for s in mc.cohort.subjects:
-            assert cem_weight(mc, s.id, t) == pytest.approx(_naive_weight(mc, s, t), abs=1e-12)
+            assert pooled_at_risk(mc, arm, t) == pytest.approx(pooled_by_enumeration(mc, arm, t), abs=1e-12)
+        for sid, weight in zip(mc.cohort.ids, weights_by_enumeration(mc, t).tolist()):
+            assert cem_weight(mc, sid, t) == pytest.approx(weight, abs=1e-12)
 
 
 class TestScaleEquivariance:

@@ -23,6 +23,7 @@ from cemlogrank.oracle import (
     statistic_by_enumeration,
     statistic_decomposition,
     stratum_by_comparison,
+    weights_by_enumeration,
 )
 from cemlogrank.survival import build_event_grid
 
@@ -209,3 +210,53 @@ def test_enumeration_oracle_matches_fast_path_on_simulated_data():
     path = statistic_path(mc)
     stat = path[-1][1] if path else 0.0
     assert stat == pytest.approx(statistic_by_enumeration(mc), abs=1e-12)
+
+
+class TestMatchedFixture:
+    """Eight subjects in two cells of x in (0, 1] split at 0.5; weight 1 for
+    a treated subject and r1 / r0 for a control, r1 and r0 counting the
+    treated and the controls of its cell at risk.
+
+      cell A (x = 0.25): treated a1 (event 2), a2 (event 4); control a3 (event 3)
+      cell B (x = 0.75): treated b1 (event 3), b2 (censored 7);
+                         controls b3 (event 1), b4 (event 5), b5 (censored 6)
+
+    At t = 0, A gives Y1 2 and Y0 1 * 2/1 and B gives Y1 2 and Y0 3 * 2/3, so
+    Y1(0) = Y0(0) = 4 and the front factor is f = sqrt(8 / 16) = sqrt(1/2).
+    Each event time adds K * (dN1 / Y1 - dN0 / Y0), K = f Y1 Y0 / (Y1 + Y0),
+    dN0 the weight at t of the control with the event:
+
+      t  A: r1 r0  B: r1 r0  Y1  Y0  K      dN1  dN0  term
+      1      2  1      2  3   4   4  2f     0    2/3  2f (0 - 1/6)      = -f/3
+      2      2  1      2  2   4   4  2f     1    0    2f (1/4)          =  f/2
+      3      1  1      2  2   3   3  3f/2   1    1    3f/2 (1/3 - 1/3)  =  0
+      4      1  0      1  2   2   1  2f/3   1    0    2f/3 (1/2)        =  f/3
+      5      0  0      1  2   1   1  f/2    0    1/2  f/2 (0 - 1/2)     = -f/4
+
+    t = 3 is a tied event time, and at t = 4 cell A has run out of controls:
+    a3's weight there is pinv(0) * 1 = 0.  The statistic is f/4 = sqrt(1/2)/4.
+    """
+
+    ids = ("a1", "a2", "a3", "b1", "b2", "b3", "b4", "b5")
+
+    def matched(self):
+        cohort = Cohort.from_columns(
+            self.ids,
+            [[0.25]] * 3 + [[0.75]] * 5,
+            [1, 1, 0, 1, 1, 0, 0, 0],
+            [2.0, 4.0, 3.0, 3.0, 7.0, 1.0, 5.0, 6.0],
+            [True, True, True, True, False, True, True, False],
+            10.0,
+        )
+        return match(cohort, grid_scheme([0.0], [1.0], 2))
+
+    def test_statistic_by_hand(self):
+        mc = self.matched()
+        expected = math.sqrt(0.5) / 4
+        assert statistic_by_enumeration(mc) == pytest.approx(expected, abs=1e-15)
+        assert statistic_path(mc)[-1][1] == pytest.approx(expected, abs=1e-15)
+
+    def test_weights_by_hand(self):
+        mc = self.matched()
+        assert weights_by_enumeration(mc, 1.0).tolist() == pytest.approx([1, 1, 2, 1, 1, 2 / 3, 2 / 3, 2 / 3])
+        assert weights_by_enumeration(mc, 4.0).tolist() == [1.0, 1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5]
