@@ -5,8 +5,10 @@ Replicate r always draws from the stream keyed by (seed, r) and results are
 gathered in replicate order, so the worker count can never change any output.
 """
 
-import itertools
 import math
+import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Literal, Optional
 
@@ -23,7 +25,8 @@ Method = Literal["cem", "iptw", "both"]
 
 IPTW_FEATURES = (0, 1)  # intercept plus the first two covariates
 
-# Ceiling on worker processes: under fork the pool starts all of them at once.
+# Ceiling on worker processes: run_experiment forks min(threads, replications)
+# of them at once.
 MAX_THREADS = 64
 
 
@@ -248,20 +251,102 @@ class ExperimentResult:
     summaries: dict[str, MethodSummary] = field(repr=False)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run every replicate, in parallel when asked, and summarize per method."""
-    indices = range(config.replications)
-    workers = min(config.threads, config.replications)
-    if workers > 1:
-        # imported here: a serial run never pays for the pool's modules
-        from concurrent.futures import ProcessPoolExecutor
+def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[ReplicateRecord]:
+    """The records of replicates start .. stop - 1, in replicate order."""
+    return [rec for r in range(start, stop) for rec in run_replicate(config, r)]
 
-        chunk = max(1, config.replications // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(run_replicate, itertools.repeat(config), indices, chunksize=chunk))
+
+def _serve_block(config: ExperimentConfig, start: int, stop: int, out: int, inherited: list[int]) -> None:
+    """In a forked child: close the ``inherited`` read ends, pickle (True,
+    records) or (False, exception) to the pipe ``out`` and leave by os._exit,
+    whatever happens.  An exception that does not pickle leaves the pipe
+    empty and the exit code 1."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = (True, _run_block(config, start, stop))
+        except BaseException as exc:
+            payload = (False, exc)
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(out, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _forked_records(config: ExperimentConfig, workers: int) -> list[ReplicateRecord]:
+    """Fork one child per contiguous block of replicates, then only collect:
+    read each pipe to EOF in block order and raise the first failed block's
+    error, which is the lowest failing replicate's.  No child is reaped
+    before the end, so on failure every one can be killed, exited or not,
+    and then every one is reaped."""
+    # imported here: only a forked experiment uses signals
+    import signal
+
+    n = config.replications
+    bounds = [n * k // workers for k in range(workers + 1)]
+    pids: list[int] = []
+    reads: list[int] = []  # the read end of each block's pipe
+    records: list[ReplicateRecord] = []
+    try:
+        # SIGINT waits until each child is recorded, so an interrupt reaps it
+        # too; the children keep it blocked and are killed on an interrupt
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for k in range(workers):
+                read_end, write_end = os.pipe()
+                reads.append(read_end)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve_block(config, bounds[k], bounds[k + 1], write_end, reads)
+                    pids.append(pid)
+                finally:
+                    os.close(write_end)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for k, pid in enumerate(pids):
+            data = _read_to_eof(reads[k])
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                how = "exit code" if ended.si_code == os.CLD_EXITED else "killed by signal"
+                raise RuntimeError(
+                    f"the worker for replicates {bounds[k]} to {bounds[k + 1] - 1} ended "
+                    f"without a result ({how} {ended.si_status})"
+                ) from None
+            if not ok:
+                raise value
+            records += value
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fd in reads:
+            os.close(fd)
+    return records
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every replicate, in forked workers when asked and fork is safe
+    (Linux), and summarize per method."""
+    workers = min(config.threads, config.replications)
+    if workers > 1 and sys.platform == "linux":
+        records = _forked_records(config, workers)
     else:
-        nested = [run_replicate(config, r) for r in indices]
-    records = [rec for group in nested for rec in group]
+        records = _run_block(config, 0, config.replications)
     summaries = {
         method: summarize_method([r for r in records if r.method == method], config)
         for method in config.methods()

@@ -62,28 +62,29 @@ class TestSimulate:
 
 
 # Modules that match and test never use: scipy's import costs over a second
-# of a cold start.  Of the resident set, the simulation RNG and the process
-# pool together take about 4 MB, OpenSSL (_hashlib, loaded by hashlib) 3.6 MB
-# and statistics, with the fractions and decimal it loads, 0.5 MB.
+# of a cold start.  Of the resident set, the simulation RNG and a process
+# pool (concurrent.futures and multiprocessing, which no command loads)
+# together take about 4 MB, OpenSSL (_hashlib, loaded by hashlib) 3.6 MB and
+# statistics, with the fractions and decimal it loads, 0.5 MB.
 UNUSED_BY_TEST = ("scipy", "numpy.random", "concurrent.futures", "multiprocessing", "_hashlib", "statistics")
 
 
-def unused_modules_after(code: str) -> list[str]:
-    """The modules under UNUSED_BY_TEST that a fresh interpreter holds after
+def unused_modules_after(code: str, unused=UNUSED_BY_TEST) -> list[str]:
+    """The modules under ``unused`` that a fresh interpreter holds after
     running ``code``."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     modules = json.loads(out.stdout.splitlines()[-1])
-    return [m for m in modules if any(m == u or m.startswith(u + ".") for u in UNUSED_BY_TEST)]
+    return [m for m in modules if any(m == u or m.startswith(u + ".") for u in unused)]
 
 
-def unused_modules_after_main(argv: list[str]) -> list[str]:
-    """The modules under UNUSED_BY_TEST that a fresh interpreter holds after
-    a successful ``main(argv)``."""
+def unused_modules_after_main(argv: list[str], unused=UNUSED_BY_TEST) -> list[str]:
+    """The modules under ``unused`` that a fresh interpreter holds after a
+    successful ``main(argv)``."""
     code = f"import sys\nfrom cemlogrank.cli import main\nif main({argv!r}) != 0:\n    sys.exit('{argv[0]} failed')"
-    return unused_modules_after(code)
+    return unused_modules_after(code, unused)
 
 
 def test_import_loads_no_scipy():
@@ -363,6 +364,28 @@ class TestExperiment:
 
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert None in (s["skewness"] for s in summary["methods"].values())
+
+    def test_forked_workers_load_no_pool(self, workdir):
+        cfg = self.config(workdir)
+        out = workdir / "forked"
+        argv = ["experiment", "--config", str(cfg), "--threads", "2", "--output-dir", str(out)]
+        assert unused_modules_after_main(argv, ("concurrent.futures", "multiprocessing")) == []
+        assert len((out / "samples.csv").read_text().splitlines()) == 1 + 12
+
+    def test_worker_failure_exits_as_at_one_worker(self, workdir, capsys):
+        # the n = 60 model2 experiment separates in some replicates
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps({
+            "scenario": {"n": 60, "assignment_model": "model2", "hypothesis": "null"},
+            "replications": 20, "method": "both",
+        }))  # fmt: skip
+        errors = []
+        for threads in ("1", "2"):
+            out = workdir / f"threads{threads}"
+            assert main(["experiment", "--config", str(cfg), "--threads", threads, "--output-dir", str(out)]) == 3
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("numeric failure: ")
 
     def test_zero_baseline_hazard_is_echoed_and_fingerprinted(self, workdir):
         # a baseline_log_hazard of -Infinity (a zero hazard) is a valid config;

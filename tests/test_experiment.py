@@ -1,10 +1,14 @@
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from cemlogrank import ExperimentConfig, Scenario, run_experiment
+from cemlogrank import ExperimentConfig, Scenario, experiment, run_experiment
 from cemlogrank.dataio import experiment_report, samples_csv_text
+from cemlogrank.errors import SeparationError
 
 
 def tiny_config(**kwargs):
@@ -64,9 +68,12 @@ class TestRunExperiment:
 
     def test_worker_count_does_not_change_outputs(self):
         seq = run_experiment(tiny_config(threads=1))
-        par = run_experiment(tiny_config(threads=3))
-        assert samples_csv_text(seq) == samples_csv_text(par)
-        assert experiment_report(seq) == experiment_report(par)
+        # one block per worker, down to one replicate each, and more workers
+        # asked for than there are replicates
+        for threads in (2, 3, 4, 12, 15):
+            par = run_experiment(tiny_config(threads=threads))
+            assert samples_csv_text(seq) == samples_csv_text(par), threads
+            assert experiment_report(seq) == experiment_report(par), threads
 
     def test_single_replicate_degenerate_summary(self):
         res = run_experiment(tiny_config(replications=1, method="cem"))
@@ -105,3 +112,123 @@ class TestRunExperiment:
         assert first[3] in ("true", "false")
         iptw_row = next(l for l in lines[1:] if l.split(",")[1] == "iptw")
         assert iptw_row.split(",")[3] == ""  # coverage flag undefined for iptw
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class ReplicateError(Exception):
+    pass
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+class Unloadable(Exception):
+    # pickles with empty args, so unpickling calls Unloadable() and fails
+    def __init__(self, message):
+        super().__init__()
+        self.message = message
+
+
+def failing_at(*replicates, error=ReplicateError):
+    """A run_replicate that raises ``error`` naming the replicate at each
+    of ``replicates`` and otherwise runs the real one."""
+    real = experiment.run_replicate
+
+    def run(config, replicate):
+        if replicate in replicates:
+            raise error(f"replicate {replicate} failed")
+        return real(config, replicate)
+
+    return run
+
+
+class TestForkedWorkers:
+    """With more than one worker, each forked child runs one contiguous
+    block of replicates; the parent reaps every child on every path."""
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_separation_is_raised_as_at_one_worker(self, threads):
+        config = dict(
+            scenario=Scenario(n=60, assignment_model="model2", hypothesis="null"),
+            replications=20,
+            method="both",
+        )
+        with pytest.raises(SeparationError) as serial:
+            run_experiment(ExperimentConfig(**config, threads=1))
+        with pytest.raises(SeparationError) as forked:
+            run_experiment(ExperimentConfig(**config, threads=threads))
+        assert str(forked.value) == str(serial.value)
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 12])
+    def test_lowest_failing_replicate_wins(self, monkeypatch, threads):
+        monkeypatch.setattr(experiment, "run_replicate", failing_at(5, 9, 11))
+        with pytest.raises(ReplicateError, match="^replicate 5 failed$"):
+            run_experiment(tiny_config(threads=threads))
+        assert_no_children_left()
+
+    def test_killed_worker_names_its_replicates(self, monkeypatch):
+        real = experiment.run_replicate
+
+        def killed(config, replicate):
+            if replicate == 7:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, replicate)
+
+        monkeypatch.setattr(experiment, "run_replicate", killed)
+        message = rf"^the worker for replicates 4 to 7 ended without a result \(killed by signal {int(signal.SIGKILL)}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            run_experiment(tiny_config(threads=3))
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("error, code", [(Unpicklable, 1), (Unloadable, 0)])
+    def test_exception_that_cannot_cross_names_its_replicates(self, monkeypatch, error, code):
+        monkeypatch.setattr(experiment, "run_replicate", failing_at(8, error=error))
+        with pytest.raises(RuntimeError, match=rf"replicates 6 to 11 ended without a result \(exit code {code}\)$"):
+            run_experiment(tiny_config(threads=2))
+        assert_no_children_left()
+
+    def test_parent_failure_reaps_every_worker(self, monkeypatch):
+        real_read, real_run = experiment._read_to_eof, experiment.run_replicate
+        reads = []
+
+        def read(fd):
+            reads.append(fd)
+            if len(reads) == 2:
+                raise OSError("read failed")
+            return real_read(fd)
+
+        def hanging(config, replicate):
+            if replicate == 11:
+                time.sleep(60)
+            return real_run(config, replicate)
+
+        monkeypatch.setattr(experiment, "_read_to_eof", read)
+        monkeypatch.setattr(experiment, "run_replicate", hanging)
+        start = time.perf_counter()
+        with pytest.raises(OSError, match="read failed"):
+            run_experiment(tiny_config(threads=4))
+        assert time.perf_counter() - start < 30
+        assert_no_children_left()
+
+    def test_interrupt_reaps_every_worker(self, monkeypatch):
+        real = experiment.run_replicate
+
+        def interrupting(config, replicate):
+            if replicate == 0:
+                os.kill(os.getppid(), signal.SIGINT)
+                time.sleep(60)
+            return real(config, replicate)
+
+        monkeypatch.setattr(experiment, "run_replicate", interrupting)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(threads=3))
+        assert time.perf_counter() - start < 30
+        assert_no_children_left()
