@@ -23,7 +23,7 @@ from .errors import ConfigError, DatasetFormatError
 from .experiment import ExperimentResult
 from .logrank import TestResult, WeightFunction
 from .matching import _REASONS, CoarseningScheme, MatchedCohort, omega_n_holds
-from .survival import Cohort
+from .survival import Cohort, _check_horizon
 from .util import fingerprint
 
 
@@ -42,9 +42,10 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
 
     Covariates must be finite, z and event 0/1, and time a nonnegative
     decimal.  Subject ids are kept as strings.  When no horizon is given, the
-    largest observed time is used.  Malformed content raises
-    DatasetFormatError naming the earliest bad row by the physical line on
-    which it starts.
+    largest observed time is used; a given horizon that is not finite and
+    positive raises ConfigError before the file is opened.  Malformed
+    content raises DatasetFormatError naming the earliest bad row by the
+    physical line on which it starts.
 
     Records are parsed in blocks of CHUNK_ROWS into column arrays, so the
     whole file is never held as rows, and each block's columns are copied
@@ -60,6 +61,8 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     anonymous temporary file.  The covariate matrix is C-ordered, as every
     cohort's is.
     """
+    if horizon is not None:
+        _check_horizon(horizon)
     with _seekable(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         try:
             return _parse_cohort(fh, horizon, str(path))
@@ -93,11 +96,8 @@ def _parse_cohort(fh, horizon, name) -> Cohort:
         horizon = float(times.max())
         if horizon <= 0:
             raise DatasetFormatError(f"{name}: all times are zero; pass an explicit horizon")
-    try:
-        build_ids = functools.partial(_ids_from_blocks, id_blocks)
-        return Cohort._from_checked_columns(build_ids, covariates, arms, times, events, float(horizon))
-    except ValueError as exc:
-        raise DatasetFormatError(f"{name}: {exc}") from None
+    build_ids = functools.partial(_ids_from_blocks, id_blocks)
+    return Cohort._from_checked_columns(build_ids, covariates, arms, times, events, float(horizon))
 
 
 def _parse_columns(fh, name) -> tuple:

@@ -20,7 +20,7 @@ import numpy as np
 from .logrank import WeightFunction
 from .matching import MatchedCohort, MatchReason
 from .simulate import HazardModel, Scenario, generate
-from .survival import Cohort, EventGrid, SubjectRecord
+from .survival import Cohort
 from .util import pinv, pinv_array
 
 
@@ -85,36 +85,19 @@ def nelson_aalen_difference(cohort: Cohort) -> float:
     return math.fsum(terms)
 
 
-def compensator(subject: SubjectRecord, hazard: HazardModel, t: float) -> float:
-    """Cumulative-hazard compensator at t."""
-    return float(_accrued(t, subject.observed_time, hazard.rate(subject.covariates, subject.arm)))
+def compensator(cohort: Cohort, hazard: HazardModel, t: float) -> np.ndarray:
+    """Each subject's cumulative-hazard compensator at t, in subject order."""
+    return _accrued(t, cohort.times, hazard.rate(cohort.covariate_matrix, cohort.arms))
 
 
 def _accrued(t, observed_times, rate):
-    """Compensator at t of one subject, or of each subject of columns, at its
-    hazard rate: the hazard accrues only while the subject is at risk,
-    min(t, observed_time) times the rate, and over an empty interval nothing
-    accrues, even at an infinite rate (where the product 0 * inf would be
-    NaN)."""
+    """Compensator at t of each subject, from the columns of the subjects'
+    observed times and hazard rates: the hazard accrues only while the
+    subject is at risk, min(t, observed_time) times the rate, and over an
+    empty interval nothing accrues, even at an infinite rate (where the
+    product 0 * inf would be NaN)."""
     at_risk = np.minimum(t, observed_times)
     return np.multiply(at_risk, rate, out=np.zeros(np.shape(rate)), where=at_risk > 0)
-
-
-@dataclass(frozen=True)
-class CompensatorPath:
-    """One subject's compensator evaluated along an event grid."""
-
-    subject_id: object
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-
-def compensator_path(subject: SubjectRecord, hazard: HazardModel, grid: EventGrid) -> CompensatorPath:
-    return CompensatorPath(
-        subject_id=subject.id,
-        times=grid.times,
-        values=tuple(compensator(subject, hazard, t) for t in grid.times),
-    )
 
 
 @dataclass(frozen=True)
@@ -141,7 +124,7 @@ def martingale_residual_mean(scenario: Scenario, replications: int) -> Martingal
         cohort = generate(scenario, replicate=r)
         tau, t = cohort.horizon, cohort.times
         n_tau = cohort.events & (t <= tau)
-        a_tau = _accrued(tau, t, hazard.rate(cohort.covariate_matrix, cohort.arms))
+        a_tau = compensator(cohort, hazard, tau)
         resid = n_tau - a_tau
         sums.append([math.fsum(v.tolist()) for v in (resid, resid * resid, a_tau)])
         count += len(cohort)

@@ -23,6 +23,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .errors import ConfigError
+
 SubjectId = int | str
 
 
@@ -46,6 +48,8 @@ class SubjectRecord:
     def __post_init__(self):
         if self.arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {self.arm!r}")
+        if self.event not in (0, 1):
+            raise ValueError(f"event must be 0 or 1, got {self.event!r}")
         if not (math.isfinite(self.observed_time) and self.observed_time >= 0.0):
             raise ValueError(
                 f"observed_time must be finite and nonnegative, got {self.observed_time!r}"
@@ -94,9 +98,9 @@ class Cohort:
     @classmethod
     def from_columns(cls, ids, covariates, arms, times, events, horizon: float) -> "Cohort":
         """Cohort from per-subject columns: ids, an n x d covariate matrix,
-        0/1 arms, nonnegative finite times and event flags.  The arrays are
-        copied.  A ``range`` of ids is unique by construction, so only other
-        ids are scanned for duplicates."""
+        0/1 arms, nonnegative finite times and 0/1 event flags.  The arrays
+        are copied.  A ``range`` of ids is unique by construction, so only
+        other ids are scanned for duplicates, and bool events need no scan."""
         cohort = cls.__new__(cls)
         cohort._set_columns(ids, covariates, arms, times, events, horizon)
         return cohort
@@ -129,13 +133,18 @@ class Cohort:
         arms = np.array(arms)
         bad = (arms != 0) & (arms != 1)
         if bad.any():
-            raise ValueError(f"arm must be 0 or 1, got {arms[bad][0].item()!r}")
+            raise ValueError(f"arm must be 0 or 1, got {arms[bad].tolist()[0]!r}")
         times = np.array(times, dtype=float)
         bad = ~(np.isfinite(times) & (times >= 0.0))
         if bad.any():
             raise ValueError(
                 f"observed_time must be finite and nonnegative, got {times[bad][0].item()!r}"
             )
+        events = np.array(events)
+        if events.dtype != bool:
+            bad = (events != 0) & (events != 1)
+            if bad.any():
+                raise ValueError(f"event must be 0 or 1, got {events[bad].tolist()[0]!r}")
         if not isinstance(ids, range) and len(set(ids)) != n:
             raise ValueError("subject ids must be unique")
         covariates = np.array(covariates, dtype=float, order="C")
@@ -143,7 +152,7 @@ class Cohort:
             raise ValueError("all subjects must share one covariate dimension")
         if not np.isfinite(covariates).all():
             raise ValueError("covariates must be finite")
-        columns = (covariates, arms.astype(np.int8), times, np.array(events, dtype=bool))
+        columns = (covariates, arms.astype(np.int8), times, events.astype(bool, copy=False))
         if any(c.shape[0] != n for c in columns):
             raise ValueError("every column needs one entry per subject")
         self._store(*columns, horizon)
@@ -245,7 +254,7 @@ class SubjectRows(Sequence):
 
 def _check_horizon(horizon) -> None:
     if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+        raise ConfigError(f"horizon must be finite and positive, got {horizon!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -260,12 +269,6 @@ class EventGrid:
 
     times: tuple[float, ...]
     events: tuple[tuple[tuple[SubjectId, int], ...], ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.events):
-            raise ValueError("times and event groups must align")
-        if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ValueError("grid times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.times)

@@ -1,12 +1,14 @@
-"""The public API: every top-level name is listed here, so adding or removing
-one is a visible edit, and the helpers kept off the top level still import
-from their modules."""
+"""The public API: every top-level name and every public name of
+``cemlogrank.oracle`` is listed here, so adding or removing one is a visible
+edit, and the helpers kept off the top level still import from their
+modules."""
 
 import importlib
 
 import pytest
 
 import cemlogrank
+from cemlogrank import oracle
 
 PUBLIC = [
     "CemLogrankError",
@@ -48,6 +50,22 @@ PUBLIC = [
     "variance_estimate",
 ]
 
+# the oracle's own public functions and result types, not the names it imports
+ORACLE = [
+    "ClassicalLogrank",
+    "DriftDecomposition",
+    "MartingaleResidual",
+    "classical_logrank",
+    "compensator",
+    "martingale_residual_mean",
+    "nelson_aalen_difference",
+    "pooled_by_enumeration",
+    "statistic_by_enumeration",
+    "statistic_decomposition",
+    "stratum_by_comparison",
+    "weights_by_enumeration",
+]
+
 MODULE_ONLY = [
     ("simulate", "assign_treatment"),
     ("simulate", "assignment_probability"),
@@ -71,3 +89,17 @@ def test_every_listed_name_resolves():
 @pytest.mark.parametrize("module, name", MODULE_ONLY)
 def test_helper_imports_from_its_module(module, name):
     assert hasattr(importlib.import_module(f"cemlogrank.{module}"), name)
+
+
+def test_oracle_names_are_the_listed_ones():
+    defined = [
+        name for name, value in vars(oracle).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == oracle.__name__
+    ]
+    assert sorted(defined) == ORACLE
+
+
+def test_oracle_takes_no_rows():
+    # the oracle reads the cohort's columns, so it binds no row type
+    assert not hasattr(oracle, "SubjectRecord")
+    assert not hasattr(oracle, "EventGrid")

@@ -430,6 +430,15 @@ class TestFlagValidation:
         assert err.startswith("error:") and "horizon" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["test", "match"])
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf", "0"])
+    def test_bad_horizon_is_named_before_the_dataset_is_opened(self, workdir, capsys, command, horizon):
+        missing = workdir / "missing.csv"
+        code = main([command, str(missing), "--scheme", str(workdir / "scheme.json"), "--horizon", horizon])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: horizon must be finite and positive, got {float(horizon)!r}\n"
+
     @pytest.mark.parametrize(
         "argv, named",
         [

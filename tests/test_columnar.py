@@ -93,22 +93,26 @@ class TestNoRecordsOnProductionPaths:
 
 
 def test_oracle_builds_no_records(monkeypatch):
-    # the oracle sums over the cohort's columns; it never reads the row view
+    # the oracle sums over the cohort's columns, compensators included; it
+    # never reads the row view
     cohort = generate(Scenario(n=300, seed=7))
     mc = match(cohort, grid_scheme(SCHEME["box_lo"], SCHEME["box_hi"], 4, 2))
     wf = WeightFunction(breakpoints=(4.0,), values=(1.0, 0.5))
+    hazard = Scenario(n=300, seed=7).hazard_model()
     records_forbidden(monkeypatch)
     assert oracle.stratum_by_comparison(mc) == mc.stratum_of
     for weight_fn in (None, wf):
         assert oracle.statistic_by_enumeration(mc, weight_fn) == pytest.approx(
             statistic_path(mc, weight_fn)[-1][1], abs=1e-12
         )
-    decomposition = oracle.statistic_decomposition(mc, Scenario(n=300, seed=7).hazard_model())
+    decomposition = oracle.statistic_decomposition(mc, hazard)
     assert decomposition.total == pytest.approx(statistic_path(mc)[-1][1], abs=1e-10)
     assert math.isfinite(oracle.classical_logrank(cohort).standardized)
     assert math.isfinite(oracle.nelson_aalen_difference(cohort))
     assert len(oracle.weights_by_enumeration(mc, 5.0)) == len(cohort)
     assert oracle.pooled_by_enumeration(mc, 1, 0.0) == mc.n1
+    assert oracle.compensator(cohort, hazard, 5.0).shape == (len(cohort),)
+    assert oracle.martingale_residual_mean(Scenario(n=50, seed=7), replications=100).draws == 5000
 
 
 class TestNoRowChurn:
@@ -212,6 +216,7 @@ class TestColumns:
             ({"covariates": [1.0, 2.0]}, "all subjects must share one covariate dimension"),
             ({"events": [True]}, "every column needs one entry per subject"),
             ({"covariates": [[0.1], [math.nan]]}, "covariates must be finite"),
+            ({"arms": [1, None]}, "arm must be 0 or 1, got None"),
         ],
     )
     def test_validation_messages(self, change, message):

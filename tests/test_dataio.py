@@ -426,6 +426,13 @@ def test_a_regular_file_is_read_without_a_copy(tmp_path):
             dataio.read_cohort_csv(path)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
+def test_a_bad_horizon_is_rejected_before_the_file_is_opened(tmp_path, horizon):
+    # the horizon's own check raises, not the missing file's open
+    with pytest.raises(ConfigError, match=r"^horizon must be finite and positive, got "):
+        dataio.read_cohort_csv(tmp_path / "missing.csv", horizon=horizon)
+
+
 def write_growing_file(cohort: Cohort, path) -> None:
     """The cohort written with its first four ids 300 characters long: the
     reader sizes its buffers from the first block's rows, so at 4 rows a

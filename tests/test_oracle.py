@@ -17,7 +17,6 @@ from cemlogrank import (
 from cemlogrank.oracle import (
     classical_logrank,
     compensator,
-    compensator_path,
     martingale_residual_mean,
     nelson_aalen_difference,
     statistic_by_enumeration,
@@ -67,37 +66,52 @@ class TestClassicalLogrank:
             classical_logrank(Cohort(subjects=(subj("a", 1, 1.0),), horizon=5.0))
 
 
+def one(subject: SubjectRecord) -> Cohort:
+    return Cohort(subjects=(subject,), horizon=100.0)
+
+
 class TestCompensator:
     HZ = HazardModel(log_baseline=-2.0, arm_effect=0.0, covariate_effect=0.25)
 
     def test_zero_at_origin(self):
-        assert compensator(subj("a", 0, 3.0), self.HZ, 0.0) == 0.0
+        assert compensator(one(subj("a", 0, 3.0)), self.HZ, 0.0).tolist() == [0.0]
 
     def test_flat_after_exit(self):
-        s = subj("a", 0, 3.0)
-        at_exit = compensator(s, self.HZ, 3.0)
-        assert compensator(s, self.HZ, 9.0) == at_exit
-        assert compensator(s, self.HZ, 2.0) < at_exit
+        cohort = one(subj("a", 0, 3.0))
+        at_exit = compensator(cohort, self.HZ, 3.0)[0]
+        assert compensator(cohort, self.HZ, 9.0)[0] == at_exit
+        assert compensator(cohort, self.HZ, 2.0)[0] < at_exit
 
     def test_unit_mass_at_inverse_rate(self):
-        s = subj("a", 0, math.exp(2.0), x=(0.0, 0.0, 0.0, 0.0, 0.0))
-        assert compensator(s, self.HZ, 10.0 * math.exp(2.0)) == pytest.approx(1.0, rel=1e-14)
+        cohort = one(subj("a", 0, math.exp(2.0), x=(0.0, 0.0, 0.0, 0.0, 0.0)))
+        assert compensator(cohort, self.HZ, 10.0 * math.exp(2.0))[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_infinite_rate_accrues_nothing_over_an_empty_interval(self):
         # a covariate term beyond the float range gives an infinite rate
         hazard = HazardModel(covariate_effect=1e308)
-        assert compensator(subj("a", 0, 0.0, x=(1.0,)), hazard, 5.0) == 0.0
-        assert compensator(subj("a", 0, 2.0, x=(1.0,)), hazard, 0.0) == 0.0
-        assert compensator(subj("a", 0, 2.0, x=(1.0,)), hazard, 1.0) == math.inf
+        cohort = Cohort(subjects=(subj("a", 0, 0.0, x=(1.0,)), subj("b", 0, 2.0, x=(1.0,))), horizon=5.0)
+        assert compensator(cohort, hazard, 5.0).tolist() == [0.0, math.inf]
+        assert compensator(cohort, hazard, 0.0).tolist() == [0.0, 0.0]
+        assert compensator(cohort, hazard, 1.0).tolist() == [0.0, math.inf]
 
     def test_path_nondecreasing(self):
-        s = subj("a", 0, 4.0)
         cohort = Cohort(
-            subjects=(s, subj("b", 1, 1.0), subj("c", 1, 5.0), subj("d", 0, 7.0)), horizon=10.0
+            subjects=(subj("a", 0, 4.0), subj("b", 1, 1.0), subj("c", 1, 5.0), subj("d", 0, 7.0)), horizon=10.0
         )
-        path = compensator_path(s, self.HZ, build_event_grid(cohort))
-        assert path.values == tuple(sorted(path.values))
-        assert path.times == build_event_grid(cohort).times
+        path = np.array([compensator(cohort, self.HZ, t) for t in build_event_grid(cohort).times])
+        assert path.shape == (4, 4)
+        assert (np.diff(path, axis=0) >= 0.0).all()
+        assert (np.diff(path[:, 0]) > 0.0).any()
+
+    @pytest.mark.parametrize("log_baseline", [-2.0, -math.inf])
+    def test_columns_are_time_at_risk_times_rate(self, log_baseline):
+        scenario = Scenario(n=400, seed=11, baseline_log_hazard=log_baseline)
+        cohort, hazard = generate(scenario), scenario.hazard_model()
+        rate = hazard.rate(cohort.covariate_matrix, cohort.arms)
+        for t in (0.0, 0.5, 3.0, cohort.horizon, 2.0 * cohort.horizon):
+            values = compensator(cohort, hazard, t)
+            assert values.shape == (len(cohort),)
+            assert np.array_equal(values, np.minimum(t, cohort.times) * rate)
 
 
 class TestMartingaleResiduals:

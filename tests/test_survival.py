@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,37 @@ class TestRecordValidation:
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError):
             Cohort(subjects=(make_subject("a", 1.0, True),), horizon=0.0)
+
+
+class TestEventValidation:
+    """An event flag is 0 or 1 (bools included), as an arm is; anything else
+    is rejected with the wording of the CSV reader's row check."""
+
+    @pytest.mark.parametrize("event", ["no", 2, math.nan, 0.5, None])
+    def test_record_rejects_a_bad_event(self, event):
+        with pytest.raises(ValueError, match=rf"^event must be 0 or 1, got {re.escape(repr(event))}$"):
+            make_subject("a", 1.0, event)
+
+    @pytest.mark.parametrize("event", [True, False, 1, 0, 1.0, np.bool_(True), np.int8(0)])
+    def test_record_accepts_zero_and_one(self, event):
+        assert make_subject("a", 1.0, event).event == event
+
+    @pytest.mark.parametrize(
+        "events, bad",
+        [([2, math.nan, 0.5], 2.0), ([1, 0, 3], 3), ([True, None, False], None), (["1", "0", "1"], "1")],
+    )
+    def test_columns_reject_a_bad_event(self, events, bad):
+        with pytest.raises(ValueError, match=rf"^event must be 0 or 1, got {re.escape(repr(bad))}$"):
+            Cohort.from_columns(range(3), [[0.0]] * 3, [0, 1, 1], [1.0, 2.0, 3.0], events, 5.0)
+
+    @pytest.mark.parametrize(
+        "events",
+        [[1, 0, 1], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.int8), np.array([True, False, True])],
+    )
+    def test_columns_take_zero_and_one_as_bools(self, events):
+        cohort = Cohort.from_columns(range(3), [[0.0]] * 3, [0, 1, 1], [1.0, 2.0, 3.0], events, 5.0)
+        assert cohort.events.dtype == bool
+        assert cohort.events.tolist() == [True, False, True]
 
 
 class TestEventGrid:
