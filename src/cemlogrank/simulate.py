@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError
-from .survival import Cohort
+from .survival import Cohort, _check_horizon
 from .util import expit, require_int
 
 AssignmentModel = Literal["model1", "model2"]
@@ -85,8 +85,7 @@ class Scenario:
             raise ConfigError("log-hazards must be finite, apart from a baseline of -inf")
         if not 0 < self.censor_upper < math.inf:
             raise ConfigError("censor_upper must be positive and finite")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite")
+        _check_horizon(self.horizon)
 
     def hazard_model(self) -> HazardModel:
         """Hazard of the generated outcomes; the arm effect vanishes under the null."""

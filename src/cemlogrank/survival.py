@@ -1,5 +1,5 @@
 """Core survival data model: the columnar cohort, subject records,
-risk-set sums, event grids.
+risk-set sums.
 
 A Cohort is a set of read-only columns (ids, covariate matrix, arms, times,
 events) plus a horizon, built by ``Cohort.from_columns`` or from records by
@@ -9,14 +9,16 @@ production path builds one.  A subject is at risk at t while its observed
 time is at least t, the convention of every risk-set sum.
 
 The cohort sorts its observed times once, on first use (``time_axis``), and
-derives its event grid from that order (``event_steps``); the matched and the
-IPTW tests both read the two, and every risk-set sum is indexed on the axis.
+derives from that order the steps of its distinct event times
+(``event_steps``); the matched and the IPTW tests both read the two, and every
+risk-set sum is indexed on the axis.
 
 Times are plain 64-bit floats and are compared exactly; ingestion controls
-rounding, and no epsilon merging is ever applied to the event grid.
+rounding, and no epsilon merging is ever applied to event times.
 """
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -152,10 +154,10 @@ class Cohort:
             raise ValueError("all subjects must share one covariate dimension")
         if not np.isfinite(covariates).all():
             raise ValueError("covariates must be finite")
-        columns = (covariates, arms.astype(np.int8), times, events.astype(bool, copy=False))
-        if any(c.shape[0] != n for c in columns):
+        columns = (arms.astype(np.int8), times, events.astype(bool, copy=False))
+        if covariates.shape[0] != n or any(c.shape != (n,) for c in columns):
             raise ValueError("every column needs one entry per subject")
-        self._store(*columns, horizon)
+        self._store(covariates, *columns, horizon)
 
     def _store(self, covariates, arms, times, events, horizon) -> None:
         columns = {"covariate_matrix": covariates, "arms": arms, "times": times, "events": events}
@@ -253,25 +255,16 @@ class SubjectRows(Sequence):
 
 
 def _check_horizon(horizon) -> None:
-    if not (math.isfinite(horizon) and horizon > 0.0):
+    """The one rule for a horizon: a real number, not a bool, finite and
+    positive."""
+    real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
+    if not (real and math.isfinite(horizon) and horizon > 0.0):
         raise ConfigError(f"horizon must be finite and positive, got {horizon!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class EventGrid:
-    """Distinct observed event times in (0, horizon], ascending, with the
-    (subject id, arm) pairs of the events occurring at each time."""
-
-    times: tuple[float, ...]
-    events: tuple[tuple[tuple[SubjectId, int], ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def risk_set_sums(rank: np.ndarray, m: int, weights=None) -> np.ndarray:
@@ -281,20 +274,7 @@ def risk_set_sums(rank: np.ndarray, m: int, weights=None) -> np.ndarray:
     return np.cumsum(np.bincount(rank, weights, minlength=m + 1)[::-1])[::-1]
 
 
-def build_event_grid(cohort: Cohort) -> EventGrid:
-    """Collect the distinct event times in (0, horizon] with their events.
-
-    Tied events at one time are grouped into a single grid step; the order of
-    events within a step follows the subject order of the cohort and carries
-    no meaning (all per-step quantities are sums).
-    """
-    grid, step = cohort.event_steps
-    members = np.flatnonzero(step >= 0)
-    members = members[np.argsort(step[members], kind="stable")]
-    bounds = np.searchsorted(step[members], np.arange(len(grid) + 1)).tolist()
-    ids = cohort.ids
-    pairs = list(zip([ids[i] for i in members.tolist()], cohort.arms[members].tolist()))
-    return EventGrid(
-        times=tuple(cohort.time_axis[0][grid].tolist()),
-        events=tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])),
-    )
+def build_event_grid(cohort: Cohort) -> np.ndarray:
+    """The distinct event times in (0, horizon], ascending: the cohort's
+    ``event_steps`` read on its ``time_axis``."""
+    return cohort.time_axis[0][cohort.event_steps[0]]

@@ -196,9 +196,10 @@ class TestCriterion6OracleEquivalences:
             subjects.append(SubjectRecord(id="keep0", covariates=(0.5,), arm=0, observed_time=11.0, event=False))
             cohort = Cohort(subjects=tuple(subjects), horizon=10.0)
             mc = match(cohort, scheme)
-            grid = build_event_grid(cohort)
+            step = cohort.event_steps[1]
             bracket = 0.0
-            for t, events in zip(grid.times, grid.events):
+            for k, t in enumerate(build_event_grid(cohort).tolist()):
+                events = [(cohort.ids[i], cohort.arms[i]) for i in np.flatnonzero(step == k).tolist()]
                 dn1 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 1)
                 dn0 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 0)
                 bracket += pinv(pooled_at_risk(mc, 1, t)) * dn1 - pinv(pooled_at_risk(mc, 0, t)) * dn0
@@ -258,7 +259,7 @@ class TestCriterion7CoverageIdentities:
                 continue
             checked += 1
             y1_0 = pooled_at_risk(mc, 1, 0.0)
-            for t in [0.0] + list(build_event_grid(mc.cohort).times):
+            for t in [0.0] + build_event_grid(mc.cohort).tolist():
                 y1 = pooled_at_risk(mc, 1, t)
                 y0 = pooled_at_risk(mc, 0, t)
                 worst_pool = max(worst_pool, abs(y1 - y0))

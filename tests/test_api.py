@@ -1,14 +1,14 @@
 """The public API: every top-level name and every public name of
-``cemlogrank.oracle`` is listed here, so adding or removing one is a visible
-edit, and the helpers kept off the top level still import from their
-modules."""
+``cemlogrank.oracle`` and ``cemlogrank.survival`` is listed here, so adding
+or removing one is a visible edit, and the helpers kept off the top level
+still import from their modules."""
 
 import importlib
 
 import pytest
 
 import cemlogrank
-from cemlogrank import oracle
+from cemlogrank import oracle, survival
 
 PUBLIC = [
     "CemLogrankError",
@@ -66,6 +66,15 @@ ORACLE = [
     "weights_by_enumeration",
 ]
 
+# the survival module's own classes and functions, not the names it imports
+SURVIVAL = [
+    "Cohort",
+    "SubjectRecord",
+    "SubjectRows",
+    "build_event_grid",
+    "risk_set_sums",
+]
+
 MODULE_ONLY = [
     ("simulate", "assign_treatment"),
     ("simulate", "assignment_probability"),
@@ -91,12 +100,19 @@ def test_helper_imports_from_its_module(module, name):
     assert hasattr(importlib.import_module(f"cemlogrank.{module}"), name)
 
 
+def defined_names(module) -> list[str]:
+    return sorted(
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+    )
+
+
 def test_oracle_names_are_the_listed_ones():
-    defined = [
-        name for name, value in vars(oracle).items()
-        if not name.startswith("_") and getattr(value, "__module__", None) == oracle.__name__
-    ]
-    assert sorted(defined) == ORACLE
+    assert defined_names(oracle) == ORACLE
+
+
+def test_survival_names_are_the_listed_ones():
+    assert defined_names(survival) == SURVIVAL
 
 
 def test_oracle_takes_no_rows():

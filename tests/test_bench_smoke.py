@@ -8,6 +8,8 @@ benchmark fails here first."""
 import json
 from pathlib import Path
 
+from cemlogrank import Scenario, dataio, generate
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -65,3 +67,12 @@ def test_csv_workload_runs_correct(monkeypatch, tmp_path, capsys):
 
     out = run_workload(monkeypatch, tmp_path, capsys, small_csv)
     assert out["correct"] and out["failed"] == 0
+    # the grid counter is the number of distinct event times in (0, horizon]
+    # of the workload's input, rebuilt here as the workload builds it
+    record = json.loads((tmp_path / "csv_coarse_test_small-seed3-trace1.json").read_text())
+    path = tmp_path / "input.csv"
+    dataio.write_cohort_csv(generate(Scenario(n=2000, assignment_model="model1", seed=3)), path)
+    cohort = dataio.read_cohort_csv(path)
+    rows = zip(cohort.times.tolist(), cohort.events.tolist())
+    event_times = {t for t, event in rows if event and 0.0 < t <= cohort.horizon}
+    assert record["per_layer"]["survival.grid_times"]["value"] == len(event_times)

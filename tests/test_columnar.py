@@ -217,6 +217,12 @@ class TestColumns:
             ({"events": [True]}, "every column needs one entry per subject"),
             ({"covariates": [[0.1], [math.nan]]}, "covariates must be finite"),
             ({"arms": [1, None]}, "arm must be 0 or 1, got None"),
+            # a scalar or 2-D column has no one entry per subject
+            ({"ids": range(1), "covariates": [[0.0]], "arms": 1, "times": [1.0], "events": [True]},
+             "every column needs one entry per subject"),
+            ({"ids": range(1), "covariates": [[0.0]], "arms": [1], "times": [1.0], "events": True},
+             "every column needs one entry per subject"),
+            ({"events": [[True], [False]]}, "every column needs one entry per subject"),
         ],
     )
     def test_validation_messages(self, change, message):

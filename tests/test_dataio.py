@@ -426,7 +426,7 @@ def test_a_regular_file_is_read_without_a_copy(tmp_path):
             dataio.read_cohort_csv(path)
 
 
-@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0, "5", True])
 def test_a_bad_horizon_is_rejected_before_the_file_is_opened(tmp_path, horizon):
     # the horizon's own check raises, not the missing file's open
     with pytest.raises(ConfigError, match=r"^horizon must be finite and positive, got "):

@@ -94,7 +94,7 @@ class TestFitLogistic:
             model = fit_logistic(cohort, feature_selector=(0, 1))
             xs = cohort.covariate_matrix
             X = np.column_stack([np.ones(len(xs)), xs[:, 0], xs[:, 1]])
-            z = np.array([s.arm for s in cohort.subjects], dtype=float)
+            z = cohort.arms.astype(float)
             score = X.T @ (z - predict_propensity(model, cohort))
             assert np.max(np.abs(score)) <= 1e-8
 
@@ -210,13 +210,13 @@ class TestIptwWeights:
         cohort = bernoulli_cohort(rng, 100_000, (-1.2, 0.6, -0.4))
         model = fit_logistic(cohort, feature_selector=(0, 1))
         p = predict_propensity(model, cohort)
-        z = np.array([s.arm for s in cohort.subjects], dtype=float)
+        z = cohort.arms.astype(float)
         ht = float(np.sum(z / p))
-        assert abs(ht - len(cohort.subjects)) <= 0.05 * len(cohort.subjects)
+        assert abs(ht - len(cohort)) <= 0.05 * len(cohort)
 
 
 def unit_weights(cohort):
-    return IptwWeights(ids=tuple(s.id for s in cohort.subjects), values=tuple(1.0 for _ in cohort.subjects))
+    return IptwWeights(ids=cohort.ids, values=(1.0,) * len(cohort))
 
 
 class TestIptwLogrank:

@@ -382,8 +382,7 @@ def test_coverage_event_implies_pooled_equality_and_monotone_decline():
         if not omega_n_holds(mc) or mc.n1 == 0:
             continue
         checked += 1
-        grid = build_event_grid(mc.cohort)
-        times = [0.0] + list(grid.times)
+        times = [0.0] + build_event_grid(mc.cohort).tolist()
         prev = {1: math.inf, 0: math.inf}
         for t in times:
             y1 = pooled_at_risk(mc, 1, t)

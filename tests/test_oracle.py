@@ -98,7 +98,7 @@ class TestCompensator:
         cohort = Cohort(
             subjects=(subj("a", 0, 4.0), subj("b", 1, 1.0), subj("c", 1, 5.0), subj("d", 0, 7.0)), horizon=10.0
         )
-        path = np.array([compensator(cohort, self.HZ, t) for t in build_event_grid(cohort).times])
+        path = np.array([compensator(cohort, self.HZ, t) for t in build_event_grid(cohort).tolist()])
         assert path.shape == (4, 4)
         assert (np.diff(path, axis=0) >= 0.0).all()
         assert (np.diff(path[:, 0]) > 0.0).any()
@@ -174,9 +174,10 @@ class TestNelsonAalenDifference:
             subjects.append(subj("keep0", 0, 11.0, False, x=(0.5,)))
             cohort = Cohort(subjects=tuple(subjects), horizon=10.0)
             mc = match(cohort, scheme)
-            grid = build_event_grid(cohort)
+            step = cohort.event_steps[1]
             bracket = 0.0
-            for t, events in zip(grid.times, grid.events):
+            for k, t in enumerate(build_event_grid(cohort).tolist()):
+                events = [(cohort.ids[i], cohort.arms[i]) for i in np.flatnonzero(step == k).tolist()]
                 dn1 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 1)
                 dn0 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 0)
                 bracket += pinv(pooled_at_risk(mc, 1, t)) * dn1 - pinv(pooled_at_risk(mc, 0, t)) * dn0

@@ -138,13 +138,13 @@ class TestGenerate:
     def test_vanishing_censor_window_censors_everything(self):
         sc = Scenario(n=500, seed=3, censor_upper=1e-9)
         cohort = generate(sc)
-        assert not any(s.event for s in cohort.subjects)
+        assert not cohort.events.any()
 
     def test_observed_time_is_minimum(self):
         sc = Scenario(n=2000, seed=4)
         cohort = generate(sc)
-        assert all(s.observed_time <= sc.censor_upper for s in cohort.subjects)
-        assert any(s.event for s in cohort.subjects)
+        assert (cohort.times <= sc.censor_upper).all()
+        assert cohort.events.any()
 
     def test_event_flag_independent_of_arm_given_covariates(self):
         # under the null, arm carries no information about the event flag
@@ -197,12 +197,13 @@ class TestStratumKaplanMeier:
         sc = Scenario(n=100_000, assignment_model="model1", hypothesis="null", seed=21)
         cohort = generate(sc)
         hz = sc.hazard_model()
-        controls = [s for s in cohort.subjects if s.arm == 0]
-        stratum = [s for s in controls if abs(sum(s.covariates) - 1.0) < 0.25]
-        assert len(stratum) > 3000
+        x = cohort.covariate_matrix
+        stratum = (cohort.arms == 0) & (np.abs(x.sum(axis=1) - 1.0) < 0.25)
+        assert np.count_nonzero(stratum) > 3000
 
-        times = np.array([s.observed_time for s in stratum])
-        events = np.array([s.event for s in stratum])
+        times = cohort.times[stratum]
+        events = cohort.events[stratum]
+        rates = hz.rate(x[stratum], 0).tolist()
         order = np.argsort(times)
         times, events = times[order], events[order]
 
@@ -227,7 +228,5 @@ class TestStratumKaplanMeier:
 
         for probe in (2.0, 5.0, 8.0):
             km, se = km_with_se(probe)
-            model_surv = float(
-                np.mean([math.exp(-probe * hz.rate(s.covariates, 0)) for s in stratum])
-            )
+            model_surv = float(np.mean([math.exp(-probe * r) for r in rates]))
             assert abs(km - model_surv) <= 2.576 * se

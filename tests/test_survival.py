@@ -14,6 +14,13 @@ def make_subject(id, time, event, arm=0, x=(0.5,)):
     return SubjectRecord(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
 
 
+def event_pairs(cohort, k):
+    """The (id, arm) pairs of the events at the k-th event-grid time, in
+    subject order."""
+    members = np.flatnonzero(cohort.event_steps[1] == k).tolist()
+    return [(cohort.ids[i], int(cohort.arms[i])) for i in members]
+
+
 def at_risk_count(subjects, t, horizon=10.0):
     """Subjects at risk at t, as every risk-set sum on the cohort's time axis
     counts them."""
@@ -115,11 +122,10 @@ class TestEventGrid:
             ),
             horizon=10.0,
         )
-        grid = build_event_grid(cohort)
-        assert grid.times == (2.0, 5.0)
-        assert len(grid.events[0]) == 2
-        assert set(grid.events[0]) == {("a", 1), ("c", 0)}
-        assert grid.events[1] == (("b", 0),)
+        assert build_event_grid(cohort).tolist() == [2.0, 5.0]
+        assert len(event_pairs(cohort, 0)) == 2
+        assert set(event_pairs(cohort, 0)) == {("a", 1), ("c", 0)}
+        assert event_pairs(cohort, 1) == [("b", 0)]
 
     def test_all_censored_gives_empty_grid(self):
         cohort = Cohort(
@@ -130,14 +136,14 @@ class TestEventGrid:
 
     def test_event_exactly_at_horizon_included(self):
         cohort = Cohort(subjects=(make_subject("a", 10.0, True),), horizon=10.0)
-        assert build_event_grid(cohort).times == (10.0,)
+        assert build_event_grid(cohort).tolist() == [10.0]
 
     def test_event_after_horizon_excluded(self):
         cohort = Cohort(
             subjects=(make_subject("a", 10.5, True), make_subject("b", 1.0, True)),
             horizon=10.0,
         )
-        assert build_event_grid(cohort).times == (1.0,)
+        assert build_event_grid(cohort).tolist() == [1.0]
 
 
 subject_strategy = st.builds(
@@ -175,24 +181,26 @@ def test_event_implies_at_risk_up_to_event(subject, t):
 )
 def test_event_grid_invariant_under_permutation(subjects, rnd):
     horizon = 10.0
-    grid1 = build_event_grid(Cohort(subjects=tuple(subjects), horizon=horizon))
+    cohort1 = Cohort(subjects=tuple(subjects), horizon=horizon)
     shuffled = list(subjects)
     rnd.shuffle(shuffled)
-    grid2 = build_event_grid(Cohort(subjects=tuple(shuffled), horizon=horizon))
-    assert grid1.times == grid2.times
-    for g1, g2 in zip(grid1.events, grid2.events):
-        assert sorted(g1, key=repr) == sorted(g2, key=repr)
+    cohort2 = Cohort(subjects=tuple(shuffled), horizon=horizon)
+    times = build_event_grid(cohort1).tolist()
+    assert times == build_event_grid(cohort2).tolist()
+    for k in range(len(times)):
+        assert sorted(event_pairs(cohort1, k), key=repr) == sorted(event_pairs(cohort2, k), key=repr)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(subject_strategy, min_size=1, max_size=12, unique_by=lambda s: s.id))
 def test_event_grid_matches_direct_enumeration(subjects):
     horizon = 10.0
-    grid = build_event_grid(Cohort(subjects=tuple(subjects), horizon=horizon))
+    cohort = Cohort(subjects=tuple(subjects), horizon=horizon)
+    times = build_event_grid(cohort).tolist()
     expected = sorted({s.observed_time for s in subjects if s.event and 0 < s.observed_time <= horizon})
-    assert list(grid.times) == expected
-    for t, evs in zip(grid.times, grid.events):
-        assert len(evs) == sum(1 for s in subjects if s.event and s.observed_time == t)
+    assert times == expected
+    for k, t in enumerate(times):
+        assert len(event_pairs(cohort, k)) == sum(1 for s in subjects if s.event and s.observed_time == t)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 
 from cemlogrank import (
     CoarseningScheme,
+    Cohort,
     ConfigError,
     ExperimentConfig,
     IptwWeights,
@@ -43,6 +44,11 @@ OWNER_CHECKS = {
     "scenario-seed": lambda c: Scenario(n=200, seed=-1),
     "scenario-model": lambda c: Scenario(n=200, assignment_model="model3"),
     "scenario-horizon": lambda c: Scenario(n=200, horizon=math.inf),
+    "scenario-horizon-str": lambda c: Scenario(n=200, horizon="5"),
+    "scenario-horizon-bool": lambda c: Scenario(n=200, horizon=True),
+    "cohort-horizon-str": lambda c: Cohort.from_columns(range(1), [[0.0]], [1], [1.0], [True], "5"),
+    "cohort-horizon-none": lambda c: Cohort.from_columns(range(1), [[0.0]], [1], [1.0], [True], None),
+    "cohort-horizon-bool": lambda c: Cohort.from_columns(range(1), [[0.0]], [1], [1.0], [True], True),
     "config-theta-overflow": lambda c: ExperimentConfig(Scenario(n=200), theta=1000.0),
     "config-theta-over-ceiling": lambda c: ExperimentConfig(Scenario(n=200), theta=3.0),
     "config-theta-nan": lambda c: ExperimentConfig(Scenario(n=200), theta=math.nan),
