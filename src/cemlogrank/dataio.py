@@ -23,8 +23,8 @@ from .errors import ConfigError, DatasetFormatError
 from .experiment import ExperimentResult
 from .logrank import TestResult, WeightFunction
 from .matching import _REASONS, CoarseningScheme, MatchedCohort, omega_n_holds
-from .survival import Cohort, _check_horizon
-from .util import fingerprint
+from .survival import Cohort
+from .util import fingerprint, require_positive
 
 
 # Records parsed per vectorized block.  A block's columns and id hashes are
@@ -62,7 +62,7 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     cohort's is.
     """
     if horizon is not None:
-        _check_horizon(horizon)
+        require_positive("horizon", horizon)
     with _seekable(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         try:
             return _parse_cohort(fh, horizon, str(path))

@@ -19,7 +19,7 @@ from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import check_decision, run_test
 from .matching import MAX_BINS, grid_scheme, match
 from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
-from .util import norm_cdf, require_int
+from .util import norm_cdf, require_int, require_positive
 
 Method = Literal["cem", "iptw", "both"]
 
@@ -57,8 +57,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if len(self.box_lo) != CONTINUOUS_DIMS or len(self.box_hi) != CONTINUOUS_DIMS:
             raise ConfigError(f"covariate box must have {CONTINUOUS_DIMS} dimensions")
-        if not 0 < self.theta < math.inf:
-            raise ConfigError("theta must be positive and finite")
+        require_positive("theta", self.theta)
         n = self.scenario.n
         # n ** theta is formed only below the ceiling, so it cannot overflow
         if self.theta * math.log(n) >= math.log(MAX_BINS + 1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matching import MatchedCohort, omega_n_holds
-from .util import norm_cdf, norm_sf, pinv, pinv_array
+from .util import is_real, norm_cdf, norm_sf, pinv, pinv_array
 
 Direction = Literal["upper", "lower", "two_sided"]
 _DIRECTIONS = ("upper", "lower", "two_sided")
@@ -70,7 +70,12 @@ class WeightFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightFunction":
-        return cls(tuple(data.get("breakpoints", ())), tuple(data["values"]))
+        if not isinstance(data, dict):
+            raise ConfigError(f"a weight function must be an object, got {type(data).__name__}")
+        lists = (data.get("breakpoints", ()), data.get("values"))
+        if not all(isinstance(v, (list, tuple)) for v in lists):
+            raise ConfigError("a weight function needs a values list, and a breakpoints list if any")
+        return cls(*map(tuple, lists))
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,9 @@ def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None
 
 
 def check_decision(alpha: float, direction: Direction = "two_sided") -> None:
-    """ConfigError unless ``alpha`` lies in (0, 1) and ``direction`` is known."""
-    if not 0.0 < alpha < 1.0:
+    """ConfigError unless ``alpha`` is a real number (a bool is not) in
+    (0, 1) and ``direction`` is known."""
+    if not (is_real(alpha) and 0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     if direction not in _DIRECTIONS:
         raise ConfigError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")

@@ -83,10 +83,18 @@ class CoarseningScheme:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoarseningScheme":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a scheme must be an object, got {type(data).__name__}")
         if "continuous_edges" in data:
-            return cls(
-                continuous_edges=tuple(tuple(e) for e in data["continuous_edges"]),
-                binary_dims=data.get("binary_dims", 0),
+            edges, lists = data["continuous_edges"], (list, tuple)
+            if not (isinstance(edges, lists) and all(isinstance(e, lists) for e in edges)):
+                raise ConfigError("continuous_edges must be a list of edge lists")
+            return cls(tuple(map(tuple, edges)), data.get("binary_dims", 0))
+        missing = [key for key in ("box_lo", "box_hi", "bins_per_dim") if key not in data]
+        if missing:
+            raise ConfigError(
+                "a scheme needs continuous_edges, or box_lo, box_hi and bins_per_dim;"
+                f" missing {', '.join(missing)}"
             )
         return grid_scheme(
             data["box_lo"], data["box_hi"], data["bins_per_dim"], data.get("binary_dims", 0)

@@ -16,8 +16,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError
-from .survival import Cohort, _check_horizon
-from .util import expit, require_int
+from .survival import Cohort
+from .util import expit, is_real, require_int, require_positive
 
 AssignmentModel = Literal["model1", "model2"]
 Hypothesis = Literal["null", "alternative"]
@@ -80,12 +80,12 @@ class Scenario:
         if self.hypothesis not in ("null", "alternative"):
             raise ConfigError(f"unknown hypothesis {self.hypothesis!r}")
         # a baseline of -inf is a zero hazard
-        if not (all(map(math.isfinite, (self.treatment_log_hazard, self.covariate_log_hazard)))
-                and self.baseline_log_hazard < math.inf):
+        finite = (self.treatment_log_hazard, self.covariate_log_hazard)
+        if not (all(map(is_real, (*finite, self.baseline_log_hazard)))
+                and all(map(math.isfinite, finite)) and self.baseline_log_hazard < math.inf):
             raise ConfigError("log-hazards must be finite, apart from a baseline of -inf")
-        if not 0 < self.censor_upper < math.inf:
-            raise ConfigError("censor_upper must be positive and finite")
-        _check_horizon(self.horizon)
+        require_positive("censor_upper", self.censor_upper)
+        require_positive("horizon", self.horizon)
 
     def hazard_model(self) -> HazardModel:
         """Hazard of the generated outcomes; the arm effect vanishes under the null."""

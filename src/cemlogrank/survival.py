@@ -1,12 +1,12 @@
-"""Core survival data model: the columnar cohort, subject records,
-risk-set sums.
+"""Core survival data model: the columnar cohort and its risk-set sums.
 
 A Cohort is a set of read-only columns (ids, covariate matrix, arms, times,
-events) plus a horizon, built by ``Cohort.from_columns`` or from records by
-``Cohort(subjects=..., horizon=...)``.  ``Cohort.subjects`` is a lazy row
-view of SubjectRecords for code that reads one subject at a time; no
-production path builds one.  A subject is at risk at t while its observed
-time is at least t, the convention of every risk-set sum.
+events) plus a horizon, built by ``Cohort.from_columns``.  The row types,
+``SubjectRecord``, ``Cohort(subjects=...)``, the lazy row view
+``Cohort.subjects`` and ``build_event_grid``, are kept only for the benchmark
+harness, which still reads them; no production path uses them.  A subject is
+at risk at t while its observed time is at least t, the convention of every
+risk-set sum.
 
 The cohort sorts its observed times once, on first use (``time_axis``), and
 derives from that order the steps of its distinct event times
@@ -18,14 +18,13 @@ rounding, and no epsilon merging is ever applied to event times.
 """
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConfigError
+from .util import require_positive
 
 SubjectId = int | str
 
@@ -63,13 +62,14 @@ class Cohort:
     """A collection of subjects observed on the window [0, horizon], held as
     read-only columns in subject order.
 
-    ``Cohort.from_columns`` builds one from its columns; ``Cohort(subjects=...,
-    horizon=...)`` converts a sequence of SubjectRecords into the same
-    columns.  ``subjects`` is a lazy row view that builds the records on first
-    row access; its length needs no records.  A cohort given its ids as a
-    ``range`` (or by the CSV reader) builds the ``ids`` tuple on first use.
-    The covariate matrix is C-ordered, a subject's covariates adjacent,
-    whichever way the cohort was built.
+    ``Cohort.from_columns`` builds one from its columns.  For the benchmark
+    harness only, ``Cohort(subjects=..., horizon=...)`` passes a sequence of
+    SubjectRecords to the same checks field by field, and ``subjects`` is a
+    lazy row view that builds the records on first row access; its length
+    needs no records.  A cohort given its ids as a ``range`` (or by the CSV
+    reader) builds the ``ids`` tuple on first use.  The covariate matrix is
+    C-ordered, a subject's covariates adjacent, whichever way the cohort was
+    built.
     """
 
     covariate_matrix: np.ndarray
@@ -83,19 +83,14 @@ class Cohort:
 
     def __init__(self, subjects: Sequence[SubjectRecord], horizon: float):
         subjects = tuple(subjects)
-        d = len(subjects[0].covariates) if subjects else 0
-        if any(len(s.covariates) != d for s in subjects):
-            raise ValueError("all subjects must share one covariate dimension")
         self._set_columns(
             tuple(s.id for s in subjects),
-            np.array([s.covariates for s in subjects], dtype=float).reshape(len(subjects), d),
+            [s.covariates for s in subjects],
             [s.arm for s in subjects],
             [s.observed_time for s in subjects],
             [s.event for s in subjects],
             horizon,
         )
-        # the records are immutable and already valid: they serve as the rows
-        self.__dict__["_records"] = subjects
 
     @classmethod
     def from_columns(cls, ids, covariates, arms, times, events, horizon: float) -> "Cohort":
@@ -114,7 +109,7 @@ class Cohort:
         times and bool events, all of length n, which are kept, not copied,
         and ``build_ids()``, which returns the tuple of n unique ids on the
         first use of ``ids``.  Only the horizon is checked here."""
-        _check_horizon(horizon)
+        require_positive("horizon", horizon)
         cohort = cls.__new__(cls)
         cohort.__dict__["_build_ids"] = build_ids
         cohort._store(covariates, arms, times, events, horizon)
@@ -131,7 +126,7 @@ class Cohort:
         n = len(ids)
         if n == 0:
             raise ValueError("cohort must contain at least one subject")
-        _check_horizon(horizon)
+        require_positive("horizon", horizon)
         arms = np.array(arms)
         bad = (arms != 0) & (arms != 1)
         if bad.any():
@@ -149,9 +144,12 @@ class Cohort:
                 raise ValueError(f"event must be 0 or 1, got {events[bad].tolist()[0]!r}")
         if not isinstance(ids, range) and len(set(ids)) != n:
             raise ValueError("subject ids must be unique")
-        covariates = np.array(covariates, dtype=float, order="C")
+        if not isinstance(covariates, np.ndarray):
+            # as objects, rows of unequal lengths make a 1-D array, not numpy's error
+            covariates = np.array(covariates, dtype=object)
         if covariates.ndim != 2:
             raise ValueError("all subjects must share one covariate dimension")
+        covariates = np.array(covariates, dtype=float, order="C")
         if not np.isfinite(covariates).all():
             raise ValueError("covariates must be finite")
         columns = (arms.astype(np.int8), times, events.astype(bool, copy=False))
@@ -252,14 +250,6 @@ class SubjectRows(Sequence):
 
     def __iter__(self):
         return iter(self._cohort._records)
-
-
-def _check_horizon(horizon) -> None:
-    """The one rule for a horizon: a real number, not a bool, finite and
-    positive."""
-    real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
-    if not (real and math.isfinite(horizon) and horizon > 0.0):
-        raise ConfigError(f"horizon must be finite and positive, got {horizon!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

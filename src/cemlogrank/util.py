@@ -35,6 +35,18 @@ def pinv_array(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=np.zeros_like(x, dtype=float), where=x != 0.0)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require_positive(name: str, value) -> None:
+    """ConfigError unless ``value`` is a real number (a bool is not), finite
+    and positive."""
+    if not (is_real(value) and math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
 def require_int(name: str, value, minimum: float = -math.inf, maximum: float = math.inf) -> None:
     """ConfigError unless ``value`` is an integer (a bool is not) in
     [``minimum``, ``maximum``]."""

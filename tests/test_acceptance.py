@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from cemlogrank import (
-    Cohort,
     ExperimentConfig,
     Scenario,
-    SubjectRecord,
     WeightFunction,
     cem_weight,
     generate,
@@ -35,8 +33,9 @@ from cemlogrank.oracle import (
     nelson_aalen_difference,
     statistic_decomposition,
 )
-from cemlogrank.survival import build_event_grid
 from cemlogrank.util import pinv
+
+from cohorts import Row, cohort_of
 
 SEED = 80808
 Z_975 = 1.959963984540054
@@ -183,7 +182,7 @@ class TestCriterion6OracleEquivalences:
         for _ in range(100):
             n = int(rng.integers(6, 13))
             subjects = [
-                SubjectRecord(
+                Row(
                     id=i,
                     covariates=(0.5,),
                     arm=int(rng.integers(2)),
@@ -192,13 +191,13 @@ class TestCriterion6OracleEquivalences:
                 )
                 for i in range(n)
             ]
-            subjects.append(SubjectRecord(id="keep1", covariates=(0.5,), arm=1, observed_time=11.0, event=False))
-            subjects.append(SubjectRecord(id="keep0", covariates=(0.5,), arm=0, observed_time=11.0, event=False))
-            cohort = Cohort(subjects=tuple(subjects), horizon=10.0)
+            subjects.append(Row(id="keep1", covariates=(0.5,), arm=1, observed_time=11.0, event=False))
+            subjects.append(Row(id="keep0", covariates=(0.5,), arm=0, observed_time=11.0, event=False))
+            cohort = cohort_of(subjects, horizon=10.0)
             mc = match(cohort, scheme)
             step = cohort.event_steps[1]
             bracket = 0.0
-            for k, t in enumerate(build_event_grid(cohort).tolist()):
+            for k, t in enumerate(cohort.time_axis[0][cohort.event_steps[0]].tolist()):
                 events = [(cohort.ids[i], cohort.arms[i]) for i in np.flatnonzero(step == k).tolist()]
                 dn1 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 1)
                 dn0 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 0)
@@ -246,20 +245,20 @@ class TestCriterion7CoverageIdentities:
                 n_t = int(rng.integers(0, 4))
                 n_c = int(rng.integers(1, 5))
                 for _ in range(n_t):
-                    subjects.append(SubjectRecord(nid, (x,), 1, float(rng.uniform(0.2, 7.0)), bool(rng.random() < 0.7)))
+                    subjects.append(Row(nid, (x,), 1, float(rng.uniform(0.2, 7.0)), bool(rng.random() < 0.7)))
                     nid += 1
                 for _ in range(n_c - 1):
-                    subjects.append(SubjectRecord(nid, (x,), 0, float(rng.uniform(0.2, 7.0)), bool(rng.random() < 0.7)))
+                    subjects.append(Row(nid, (x,), 0, float(rng.uniform(0.2, 7.0)), bool(rng.random() < 0.7)))
                     nid += 1
                 # one control per occupied cell survives past the horizon
-                subjects.append(SubjectRecord(nid, (x,), 0, horizon + float(rng.uniform(0.1, 2.0)), False))
+                subjects.append(Row(nid, (x,), 0, horizon + float(rng.uniform(0.1, 2.0)), False))
                 nid += 1
-            mc = match(Cohort(subjects=tuple(subjects), horizon=horizon), scheme)
+            mc = match(cohort_of(subjects, horizon=horizon), scheme)
             if mc.n1 == 0 or not omega_n_holds(mc):
                 continue
             checked += 1
             y1_0 = pooled_at_risk(mc, 1, 0.0)
-            for t in [0.0] + build_event_grid(mc.cohort).tolist():
+            for t in [0.0] + mc.cohort.time_axis[0][mc.cohort.event_steps[0]].tolist():
                 y1 = pooled_at_risk(mc, 1, t)
                 y0 = pooled_at_risk(mc, 0, t)
                 worst_pool = max(worst_pool, abs(y1 - y0))
@@ -282,7 +281,7 @@ class TestCriterion8Properties:
             n = int(rng.integers(1, 13))
             pool = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 10.0]
             subjects = tuple(
-                SubjectRecord(
+                Row(
                     id=i,
                     covariates=(float(rng.choice([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])),),
                     arm=int(rng.integers(2)),
@@ -291,7 +290,7 @@ class TestCriterion8Properties:
                 )
                 for i in range(n)
             )
-            mc = match(Cohort(subjects=subjects, horizon=2.5), scheme)
+            mc = match(cohort_of(subjects, horizon=2.5), scheme)
             res = run_test(mc)
             values = [res.statistic, res.variance_estimate, res.standardized]
             values += [kernel(mc, None, t) for t in (0.0, 1.0, 2.5)]
@@ -309,7 +308,7 @@ class TestCriterion8Properties:
         for _ in range(200):
             n = int(rng.integers(4, 15))
             subjects = tuple(
-                SubjectRecord(
+                Row(
                     id=i,
                     covariates=(float(rng.uniform(0.01, 1.0)),),
                     arm=int(rng.integers(2)),
@@ -318,7 +317,7 @@ class TestCriterion8Properties:
                 )
                 for i in range(n)
             )
-            mc = match(Cohort(subjects=subjects, horizon=10.0), scheme)
+            mc = match(cohort_of(subjects, horizon=10.0), scheme)
             c = float(rng.uniform(0.05, 20.0))
             base = run_test(mc)
             scaled = run_test(mc, WeightFunction.constant(c))

@@ -779,6 +779,23 @@ def test_invalid_json_document_exits_2_naming_the_file(hostile_workdir, kind, do
     assert err.startswith("error:") and "doc.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("scheme", {"edges": 3},
+         "a scheme needs continuous_edges, or box_lo, box_hi and bins_per_dim; missing box_lo, box_hi, bins_per_dim"),
+        ("scheme", {"continuous_edges": 3}, "continuous_edges must be a list of edge lists"),
+        ("weight-fn", {"values": None}, "a weight function needs a values list, and a breakpoints list if any"),
+        ("weight-fn", {}, "a weight function needs a values list, and a breakpoints list if any"),
+    ],
+    ids=["scheme-no-keys", "scheme-edges-number", "weight-fn-null-values", "weight-fn-no-values"],
+)
+def test_malformed_object_exits_2_with_its_owners_message(hostile_workdir, kind, doc, message):
+    code, err = run_on_document(hostile_workdir, kind, render(doc))
+    assert code == 2
+    assert err.startswith("error:") and "doc.json" in err and err.endswith(f": {message}\n")
+
+
 def test_rates_beyond_the_float_range_run_without_warning(hostile_workdir):
     # an infinite rate is an event at time 0, a zero rate no event at all;
     # the suite turns any warning into an error

@@ -1,10 +1,13 @@
 """The cohort is held as columns: production paths build no SubjectRecord,
-the row view is lazy, and IPTW weights travel in cohort order."""
+the row view is lazy, and IPTW weights travel in cohort order.  The row
+types, which only the benchmark harness still reads, are tested here and
+nowhere else among the tests."""
 
 import dataclasses
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from cemlogrank import (
 from cemlogrank import oracle
 from cemlogrank.cli import main
 from cemlogrank.dataio import read_cohort_csv, write_cohort_csv
+from cemlogrank.survival import build_event_grid
 
 SCHEME = {"box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0], "bins_per_dim": 4, "binary_dims": 2}
 
@@ -223,6 +227,8 @@ class TestColumns:
             ({"ids": range(1), "covariates": [[0.0]], "arms": [1], "times": [1.0], "events": True},
              "every column needs one entry per subject"),
             ({"events": [[True], [False]]}, "every column needs one entry per subject"),
+            # ragged rows are named by the cohort's rule, not by numpy
+            ({"covariates": [[0.1], [0.1, 0.2]]}, "all subjects must share one covariate dimension"),
         ],
     )
     def test_validation_messages(self, change, message):
@@ -244,6 +250,51 @@ class TestColumns:
                 subjects=(SubjectRecord("a", (0.1,), 1, 1.0, True), SubjectRecord("b", (0.1, 0.2), 0, 1.0, True)),
                 horizon=5.0,
             )
+
+
+def make_record(id, time, event, arm=0, x=(0.5,)):
+    return SubjectRecord(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
+
+
+class TestRecordValidation:
+    def test_bad_arm(self):
+        with pytest.raises(ValueError):
+            make_record("a", 1.0, True, arm=2)
+
+    def test_negative_time(self):
+        with pytest.raises(ValueError):
+            make_record("a", -1.0, True)
+
+    def test_nonfinite_time(self):
+        with pytest.raises(ValueError):
+            make_record("a", math.inf, True)
+
+
+class TestEventValidation:
+    """A record's event flag is 0 or 1 (bools included), as a column's is."""
+
+    @pytest.mark.parametrize("event", ["no", 2, math.nan, 0.5, None])
+    def test_record_rejects_a_bad_event(self, event):
+        with pytest.raises(ValueError, match=rf"^event must be 0 or 1, got {re.escape(repr(event))}$"):
+            make_record("a", 1.0, event)
+
+    @pytest.mark.parametrize("event", [True, False, 1, 0, 1.0, np.bool_(True), np.int8(0)])
+    def test_record_accepts_zero_and_one(self, event):
+        assert make_record("a", 1.0, event).event == event
+
+
+def test_records_give_the_one_covariate_layout():
+    # the records route of test_dataio.py's every-route layout check
+    g = generate(Scenario(n=2004, seed=4))
+    matrix = Cohort(subjects=g.subjects, horizon=g.horizon).covariate_matrix
+    assert matrix.flags.c_contiguous and matrix.tobytes() == g.covariate_matrix.tobytes()
+
+
+def test_event_grid_is_the_event_steps_read_on_the_time_axis():
+    cohort = generate(Scenario(n=500, seed=2, horizon=5.0))
+    grid = build_event_grid(cohort)
+    assert 0 < len(grid) < np.count_nonzero(cohort.events)
+    assert np.array_equal(grid, cohort.time_axis[0][cohort.event_steps[0]])
 
 
 class TestWeightAlignment:

@@ -472,7 +472,6 @@ def test_every_route_to_a_cohort_gives_one_covariate_layout(tmp_path):
     cohorts = [
         g,
         Cohort.from_columns(range(len(g)), fortran, *columns),
-        Cohort(subjects=g.subjects, horizon=g.horizon),
         dataio.read_cohort_csv(plain),
         dataio.read_cohort_csv(quoted),
         read_through_a_fifo(tmp_path, plain.read_bytes()),

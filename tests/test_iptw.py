@@ -12,7 +12,6 @@ from cemlogrank import (
     IptwWeights,
     RankDeficiencyError,
     SeparationError,
-    SubjectRecord,
     WeightFunction,
     Scenario,
     fit_logistic,
@@ -29,9 +28,11 @@ from cemlogrank.cli import main
 from cemlogrank.dataio import write_cohort_csv
 from cemlogrank.oracle import classical_logrank
 
+from cohorts import Row, cohort_of
+
 
 def subj(id, arm, time, event=True, x=(0.0, 0.0)):
-    return SubjectRecord(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
+    return Row(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
 
 
 def bernoulli_cohort(rng, n, alpha, d=2):
@@ -43,13 +44,13 @@ def bernoulli_cohort(rng, n, alpha, d=2):
         subj(i, int(z[i]), float(rng.uniform(0.5, 9.0)), bool(rng.random() < 0.5), x=tuple(xs[i]))
         for i in range(n)
     )
-    return Cohort(subjects=subjects, horizon=10.0)
+    return cohort_of(subjects, horizon=10.0)
 
 
 class TestFitLogistic:
     def test_intercept_only_closed_form(self):
         subjects = [subj(i, 1 if i < 30 else 0, 1.0, x=(0.0,)) for i in range(100)]
-        model = fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=())
+        model = fit_logistic(cohort_of(subjects, horizon=10.0), feature_selector=())
         assert model.coefficients[0] == pytest.approx(math.log(0.3 / 0.7), abs=1e-10)
 
     def test_recovers_known_coefficients_within_three_se(self):
@@ -69,13 +70,13 @@ class TestFitLogistic:
     def test_single_arm_raises_separation(self):
         subjects = [subj(i, 1, 1.0, x=(0.0,)) for i in range(10)]
         with pytest.raises(SeparationError):
-            fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=())
+            fit_logistic(cohort_of(subjects, horizon=10.0), feature_selector=())
 
     def test_separated_covariate_raises(self):
         # covariate perfectly predicts the arm
         subjects = [subj(i, 1 if i < 10 else 0, 1.0, x=(1.0 if i < 10 else -1.0,)) for i in range(20)]
         with pytest.raises(SeparationError):
-            fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=(0,))
+            fit_logistic(cohort_of(subjects, horizon=10.0), feature_selector=(0,))
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-5, 1e50, 1e100])
     def test_separated_covariate_raises_in_any_units(self, scale):
@@ -85,7 +86,7 @@ class TestFitLogistic:
             subj(i, 1 if i < 10 else 0, 1.0, x=(scale if i < 10 else -scale,)) for i in range(20)
         ]
         with pytest.raises(SeparationError):
-            fit_logistic(Cohort(subjects=tuple(subjects), horizon=10.0), feature_selector=(0,))
+            fit_logistic(cohort_of(subjects, horizon=10.0), feature_selector=(0,))
 
     def test_score_small_at_solution(self):
         rng = np.random.default_rng(99)
@@ -105,7 +106,7 @@ class TestFitLogistic:
             fit_logistic(cohort, feature_selector=(0, 1))
 
     def test_feature_index_out_of_range(self):
-        cohort = Cohort(subjects=(subj(0, 1, 1.0), subj(1, 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj(0, 1, 1.0), subj(1, 0, 2.0)), horizon=10.0)
         with pytest.raises(ValueError):
             fit_logistic(cohort, feature_selector=(5,))
 
@@ -162,7 +163,7 @@ def test_underflowing_hessian_entry_is_not_separation(cohort_5k):
 
 def test_constant_feature_is_rank_deficiency(tmp_path, capsys):
     subjects = [subj(i, i % 2, 1.0 + i, x=(0.5, float(i))) for i in range(20)]
-    cohort = Cohort(subjects=tuple(subjects), horizon=30.0)
+    cohort = cohort_of(subjects, horizon=30.0)
     with pytest.raises(RankDeficiencyError, match="feature column x1 is constant"):
         fit_logistic(cohort, feature_selector=(1, 0))
     data = tmp_path / "constant.csv"
@@ -186,14 +187,14 @@ class TestIptwWeights:
         )
 
     def test_quarter_propensity(self):
-        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         model = self._model_with_probs(cohort, math.log(0.25 / 0.75))
         t, c = iptw_weights(model, cohort).values
         assert t == pytest.approx(4.0, rel=1e-12)
         assert c == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_half_propensity_symmetric(self):
-        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         model = self._model_with_probs(cohort, 0.0)
         t, c = iptw_weights(model, cohort).values
         assert t == pytest.approx(2.0) and c == pytest.approx(2.0)
@@ -233,7 +234,7 @@ class TestIptwLogrank:
             arms = {s.arm for s in subjects}
             if arms != {0, 1}:
                 continue
-            cohort = Cohort(subjects=subjects, horizon=10.0)
+            cohort = cohort_of(subjects, horizon=10.0)
             res = iptw_logrank(cohort, unit_weights(cohort))
             ref = classical_logrank(cohort)
             assert res.standardized == pytest.approx(ref.standardized, abs=1e-12)
@@ -247,7 +248,7 @@ class TestIptwLogrank:
             subj("a", 1, 1.0), subj("b", 1, 3.0), subj("c", 1, 5.0, event=False),
             subj("d", 0, 2.0), subj("e", 0, 4.0, event=False), subj("f", 0, 6.0),
         )
-        cohort = Cohort(subjects=subjects, horizon=10.0)
+        cohort = cohort_of(subjects, horizon=10.0)
         res = iptw_logrank(cohort, unit_weights(cohort))
         # hand enumeration: numerator 0.6, variance 0.74
         front = math.sqrt(6.0 / 9.0)
@@ -256,14 +257,14 @@ class TestIptwLogrank:
         assert res.standardized == pytest.approx(0.6 / math.sqrt(0.74), abs=1e-12)
 
     def test_no_events(self):
-        cohort = Cohort(subjects=(subj("t", 1, 1.0, event=False), subj("c", 0, 2.0, event=False)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 1.0, event=False), subj("c", 0, 2.0, event=False)), horizon=10.0)
         res = iptw_logrank(cohort, unit_weights(cohort))
         assert res.statistic == 0.0 and res.variance_estimate == 0.0
         assert res.degenerate_variance
 
     def test_last_survivor_term_dropped(self):
         # single subject at risk at the final event: variance term vanishes
-        cohort = Cohort(subjects=(subj("t", 1, 5.0), subj("c", 0, 1.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 5.0), subj("c", 0, 1.0)), horizon=10.0)
         res = iptw_logrank(cohort, unit_weights(cohort))
         assert math.isfinite(res.variance_estimate) and math.isfinite(res.standardized)
         # only the first event (2 at risk) contributes to the variance
@@ -272,19 +273,19 @@ class TestIptwLogrank:
         assert res.variance_estimate == pytest.approx(expected_var, abs=1e-12)
 
     def test_missing_weights_rejected(self):
-        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         with pytest.raises(ValueError):
             iptw_logrank(cohort, IptwWeights(ids=("t",), values=(1.0,)))
 
     def test_decision_inputs_are_checked_before_the_weights(self):
         # weights that would fail their own check are not looked at
-        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         for kwargs in ({"alpha": 2.0}, {"direction": "sideways"}):
             with pytest.raises(ConfigError):
                 iptw_logrank(cohort, IptwWeights(ids=("t",), values=(1.0,)), **kwargs)
 
     def test_metadata(self):
-        cohort = Cohort(subjects=(subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 1, 1.0), subj("c", 0, 2.0)), horizon=10.0)
         res = iptw_logrank(cohort, unit_weights(cohort))
         assert res.method == "iptw"
         assert res.omega_n is None
@@ -312,7 +313,7 @@ def tied_cohorts(draw):
     times = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     subjects = tuple(subj(i, arms[i], float(times[i]), events[i]) for i in range(n))
-    return Cohort(subjects=subjects, horizon=3.0)
+    return cohort_of(subjects, horizon=3.0)
 
 
 @settings(max_examples=200, deadline=None)

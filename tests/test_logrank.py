@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemlogrank import (
-    Cohort,
     ConfigError,
     Scenario,
-    SubjectRecord,
     WeightFunction,
     cem_weight,
     fit_logistic,
@@ -31,18 +29,19 @@ from cemlogrank.oracle import (
     stratum_by_comparison,
     weights_by_enumeration,
 )
-from cemlogrank.survival import build_event_grid
 from cemlogrank.util import norm_sf
+
+from cohorts import Row, cohort_of
 
 ONE_CELL = grid_scheme([0.0], [1.0], 1)
 
 
 def subj(id, arm, time, event=True, x=0.5):
-    return SubjectRecord(id=id, covariates=(x,), arm=arm, observed_time=time, event=event)
+    return Row(id=id, covariates=(x,), arm=arm, observed_time=time, event=event)
 
 
 def single_cell(subjects, horizon=10.0):
-    return match(Cohort(subjects=tuple(subjects), horizon=horizon), ONE_CELL)
+    return match(cohort_of(subjects, horizon=horizon), ONE_CELL)
 
 
 def random_instance(rng, n_low=4, n_high=14, horizon=10.0, two_cells=False):
@@ -54,7 +53,7 @@ def random_instance(rng, n_low=4, n_high=14, horizon=10.0, two_cells=False):
         subjects.append(
             subj(i, int(rng.integers(2)), float(rng.uniform(0.05, 1.3)) * horizon, bool(rng.random() < 0.7), x=x)
         )
-    return match(Cohort(subjects=tuple(subjects), horizon=horizon), scheme)
+    return match(cohort_of(subjects, horizon=horizon), scheme)
 
 
 class TestWeightFunction:
@@ -142,8 +141,8 @@ class TestStatisticPath:
 
     def test_unmatched_event_times_appear_with_zero_increment(self):
         scheme = grid_scheme([0.0], [1.0], 2)
-        cohort = Cohort(
-            subjects=(subj("t", 1, 3.0, x=0.25), subj("c", 0, 5.0, event=False, x=0.3), subj("lone", 1, 1.0, x=0.8)),
+        cohort = cohort_of(
+            (subj("t", 1, 3.0, x=0.25), subj("c", 0, 5.0, event=False, x=0.3), subj("lone", 1, 1.0, x=0.8)),
             horizon=10.0,
         )
         mc = match(cohort, scheme)
@@ -176,13 +175,13 @@ class TestStatisticPath:
         else:
             weights = iptw_weights(fit_logistic(cohort, (0, 1)), cohort)
             path = iptw_logrank(cohort, weights, include_path=True).path
-        assert [t for t, _ in path] == build_event_grid(cohort).tolist()
+        assert [t for t, _ in path] == cohort.time_axis[0][cohort.event_steps[0]].tolist()
 
     def test_path_is_cumulative(self):
         rng = np.random.default_rng(1)
         mc = random_instance(rng, n_low=10, n_high=14)
         path = statistic_path(mc)
-        assert [t for t, _ in path] == build_event_grid(mc.cohort).tolist()
+        assert [t for t, _ in path] == mc.cohort.time_axis[0][mc.cohort.event_steps[0]].tolist()
 
 
 class TestVarianceEstimate:
@@ -275,8 +274,8 @@ class TestRunTest:
 
     def test_counts_and_flags_attached(self):
         scheme = grid_scheme([0.0], [1.0], 2)
-        cohort = Cohort(
-            subjects=(subj("t", 1, 3.0, x=0.25), subj("c", 0, 12.0, event=False, x=0.3), subj("lone", 1, 1.0, x=0.8)),
+        cohort = cohort_of(
+            (subj("t", 1, 3.0, x=0.25), subj("c", 0, 12.0, event=False, x=0.3), subj("lone", 1, 1.0, x=0.8)),
             horizon=10.0,
         )
         res = run_test(match(cohort, scheme))
@@ -331,12 +330,12 @@ def multi_cell_instances(draw):
     for _ in range(draw(st.integers(1, 2))):
         rows.append((draw(st.sampled_from([0.0, 1.5])), draw(st.sampled_from([0, 1])), draw(any_time), True))
     subjects = tuple(
-        SubjectRecord(id=i, covariates=(x,), arm=arm, observed_time=t, event=ev)
+        Row(id=i, covariates=(x,), arm=arm, observed_time=t, event=ev)
         for i, (x, arm, t, ev) in enumerate(rows)
     )
     breakpoints = sorted(set(draw(st.lists(st.sampled_from(TIE_POOL), max_size=3))))
     values = draw(st.lists(st.floats(-2.0, 3.0), min_size=len(breakpoints) + 1, max_size=len(breakpoints) + 1))
-    mc = match(Cohort(subjects=subjects, horizon=horizon), grid_scheme([0.0], [1.0], bins))
+    mc = match(cohort_of(subjects, horizon=horizon), grid_scheme([0.0], [1.0], bins))
     return mc, WeightFunction(tuple(breakpoints), tuple(values))
 
 
@@ -346,7 +345,7 @@ def test_multi_cell_agreement_with_oracle(instance):
     mc, wf = instance
     assert mc.n_cells >= 3
     assert mc.stratum_of == stratum_by_comparison(mc)
-    grid = build_event_grid(mc.cohort).tolist()
+    grid = mc.cohort.time_axis[0][mc.cohort.event_steps[0]].tolist()
     path = statistic_path(mc, wf)
     assert [t for t, _ in path] == grid
     final = path[-1][1] if path else 0.0
@@ -398,10 +397,10 @@ messy_time = st.one_of(
 def test_total_on_arbitrary_inputs(rows):
     """No division failures, NaNs, or infinities on messy cohorts."""
     subjects = tuple(
-        SubjectRecord(id=i, covariates=(x,), arm=arm, observed_time=t, event=ev)
+        Row(id=i, covariates=(x,), arm=arm, observed_time=t, event=ev)
         for i, (arm, t, ev, x) in enumerate(rows)
     )
-    mc = match(Cohort(subjects=subjects, horizon=2.5), grid_scheme([0.0], [1.0], 2))
+    mc = match(cohort_of(subjects, horizon=2.5), grid_scheme([0.0], [1.0], 2))
     res = run_test(mc)
     for value in (res.statistic, res.variance_estimate, res.standardized):
         assert math.isfinite(value)

@@ -7,7 +7,6 @@ import pytest
 from cemlogrank import (
     Cohort,
     MatchReason,
-    SubjectRecord,
     Scenario,
     cem_weight,
     generate,
@@ -17,12 +16,13 @@ from cemlogrank import (
     pooled_at_risk,
 )
 from cemlogrank.oracle import stratum_by_comparison
-from cemlogrank.survival import build_event_grid
+
+from cohorts import Row, cohort_of
 
 
 def subj(id, x, arm, time, event=True):
     xs = (x,) if isinstance(x, float) else tuple(x)
-    return SubjectRecord(id=id, covariates=xs, arm=arm, observed_time=time, event=event)
+    return Row(id=id, covariates=xs, arm=arm, observed_time=time, event=event)
 
 
 def matched_ids(mc, arm):
@@ -125,13 +125,13 @@ TWO_CELLS = grid_scheme([0.0], [1.0], 2)
 
 class TestMatch:
     def test_cross_arm_pair_matches(self):
-        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
         assert matched_ids(mc, 1) == {"t"} and matched_ids(mc, 0) == {"c"}
         assert mc.n1 == 1 and mc.unmatched_count == 0
 
     def test_different_cells_do_not_match(self):
-        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.7, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 0.3, 1, 2.0), subj("c", 0.7, 0, 3.0)), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
         assert mc.n1 == 0 and mc.n0 == 0
         assert mc.stratum_of["t"] is MatchReason.NO_CROSS_ARM_PARTNER
@@ -139,8 +139,8 @@ class TestMatch:
 
     def test_counts_by_direct_enumeration(self):
         # 2 treated + 3 controls share a cell, 1 treated alone in another
-        cohort = Cohort(
-            subjects=(
+        cohort = cohort_of(
+            (
                 subj("t1", 0.1, 1, 1.0),
                 subj("t2", 0.2, 1, 2.0),
                 subj("c1", 0.3, 0, 3.0),
@@ -155,12 +155,12 @@ class TestMatch:
         assert mc.stratum_of["t3"] is MatchReason.NO_CROSS_ARM_PARTNER
 
     def test_outside_region_reason(self):
-        cohort = Cohort(subjects=(subj("t", -0.5, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", -0.5, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
         assert mc.stratum_of["t"] is MatchReason.OUTSIDE_REGION
 
     def test_empty_matched_treated_is_legal(self):
-        cohort = Cohort(subjects=(subj("c1", 0.4, 0, 3.0), subj("c2", 0.6, 0, 1.0)), horizon=10.0)
+        cohort = cohort_of((subj("c1", 0.4, 0, 3.0), subj("c2", 0.6, 0, 1.0)), horizon=10.0)
         mc = match(cohort, ONE_CELL)
         assert mc.n1 == 0 and mc.n0 == 0
         assert omega_n_holds(mc)
@@ -171,13 +171,13 @@ class TestMatch:
             subj(i, float(rng.uniform(0.01, 1.0)), int(rng.integers(2)), float(rng.uniform(0, 10)))
             for i in range(20)
         ]
-        mc1 = match(Cohort(subjects=tuple(subjects), horizon=10.0), TWO_CELLS)
+        mc1 = match(cohort_of(subjects, horizon=10.0), TWO_CELLS)
         mc2 = match(mc1.cohort, TWO_CELLS)
         assert mc1.stratum_of == mc2.stratum_of
         assert all(matched_ids(mc1, arm) == matched_ids(mc2, arm) for arm in (0, 1))
         perm = list(subjects)
         rng.shuffle(perm)
-        mc3 = match(Cohort(subjects=tuple(perm), horizon=10.0), TWO_CELLS)
+        mc3 = match(cohort_of(perm, horizon=10.0), TWO_CELLS)
         assert mc3.stratum_of == mc1.stratum_of
         assert all(matched_ids(mc3, arm) == matched_ids(mc1, arm) for arm in (0, 1))
 
@@ -191,7 +191,7 @@ class TestMatch:
             subj(i, prototypes[int(rng.integers(6))] + (float(rng.integers(2)),), int(rng.integers(2)), 1.0)
             for i in range(80)
         ]
-        mc = match(Cohort(subjects=tuple(subjects), horizon=10.0), scheme)
+        mc = match(cohort_of(subjects, horizon=10.0), scheme)
         expected = stratum_by_comparison(mc)
         matched = sorted({key for key in expected.values() if isinstance(key, tuple)})
         assert len(matched) >= 3
@@ -202,7 +202,7 @@ class TestMatch:
             assert mc.cell[mc.cohort.index_of[s.id]] == (matched.index(key) if key in matched else -1)
 
     def test_result_is_frozen(self):
-        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
         with pytest.raises(dataclasses.FrozenInstanceError):
             mc.n1 = 2
@@ -212,14 +212,14 @@ class TestMatch:
 
 class TestCemWeight:
     def test_treated_weight_is_one_at_every_time(self):
-        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
         mc = match(cohort, ONE_CELL)
         for t in (0.0, 1.0, 2.0, 2.5, 9.0):
             assert cem_weight(mc, "t", t) == 1.0
 
     def test_unmatched_weight_is_zero(self):
-        cohort = Cohort(
-            subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.7, 0, 3.0)),
+        cohort = cohort_of(
+            (subj("t", 0.3, 1, 2.0), subj("c", 0.7, 0, 3.0)),
             horizon=10.0,
         )
         mc = match(cohort, TWO_CELLS)
@@ -228,23 +228,23 @@ class TestCemWeight:
 
     def test_control_weight_is_cell_ratio(self):
         # one treated, two controls at risk -> each control carries 1/2
-        cohort = Cohort(
-            subjects=(subj("t", 0.3, 1, 5.0), subj("c1", 0.4, 0, 5.0), subj("c2", 0.5, 0, 5.0)),
+        cohort = cohort_of(
+            (subj("t", 0.3, 1, 5.0), subj("c1", 0.4, 0, 5.0), subj("c2", 0.5, 0, 5.0)),
             horizon=10.0,
         )
         mc = match(cohort, ONE_CELL)
         assert cem_weight(mc, "c1", 1.0) == pytest.approx(0.5, abs=0)
 
     def test_exhausted_controls_give_zero_by_total_reciprocal(self):
-        cohort = Cohort(
-            subjects=(subj("t", 0.3, 1, 9.0), subj("c1", 0.4, 0, 1.0), subj("c2", 0.5, 0, 2.0)),
+        cohort = cohort_of(
+            (subj("t", 0.3, 1, 9.0), subj("c1", 0.4, 0, 1.0), subj("c2", 0.5, 0, 2.0)),
             horizon=10.0,
         )
         mc = match(cohort, ONE_CELL)
         assert cem_weight(mc, "c1", 5.0) == 0.0
 
     def test_unknown_id_raises(self):
-        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 3.0)), horizon=10.0)
         mc = match(cohort, ONE_CELL)
         with pytest.raises(ValueError):
             cem_weight(mc, "nope", 1.0)
@@ -257,7 +257,7 @@ class TestCemWeight:
             subj(i, float(rng.uniform(0.01, 1.0)), int(rng.integers(2)), float(rng.uniform(0, 10)))
             for i in range(24)
         ]
-        cohort = Cohort(subjects=tuple(subjects), horizon=10.0)
+        cohort = cohort_of(subjects, horizon=10.0)
         mc = match(cohort, TWO_CELLS)
         def cell_of(o):
             return (int(o.covariates[0] > 0.5),)
@@ -301,8 +301,8 @@ class TestAtRiskCounts:
 
 class TestPooledAtRisk:
     def test_everyone_counts_at_time_zero(self):
-        cohort = Cohort(
-            subjects=(
+        cohort = cohort_of(
+            (
                 subj("t1", 0.1, 1, 1.0),
                 subj("t2", 0.2, 1, 2.0),
                 subj("c1", 0.3, 0, 3.0),
@@ -316,7 +316,7 @@ class TestPooledAtRisk:
         assert pooled_at_risk(mc, 0, 0.0) == pytest.approx(mc.n1, abs=1e-12)
 
     def test_no_matches_gives_zero(self):
-        cohort = Cohort(subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.7, 0, 3.0)), horizon=10.0)
+        cohort = cohort_of((subj("t", 0.3, 1, 2.0), subj("c", 0.7, 0, 3.0)), horizon=10.0)
         mc = match(cohort, TWO_CELLS)
         assert pooled_at_risk(mc, 1, 0.0) == 0.0
         assert pooled_at_risk(mc, 0, 0.0) == 0.0
@@ -325,27 +325,27 @@ class TestPooledAtRisk:
         k = 3
         subjects = [subj(f"t{i}", 0.4, 1, 5.0) for i in range(k)]
         subjects += [subj(f"c{i}", 0.6, 0, 5.0) for i in range(k)]
-        mc = match(Cohort(subjects=tuple(subjects), horizon=10.0), ONE_CELL)
+        mc = match(cohort_of(subjects, horizon=10.0), ONE_CELL)
         assert pooled_at_risk(mc, 0, 2.0) == pytest.approx(k, abs=1e-12)
 
 
 class TestOmega:
     def test_holds_when_every_cell_keeps_a_control_at_horizon(self):
-        cohort = Cohort(
-            subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 10.0, event=False)),
+        cohort = cohort_of(
+            (subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 10.0, event=False)),
             horizon=10.0,
         )
         assert omega_n_holds(match(cohort, ONE_CELL))
 
     def test_fails_when_controls_leave_before_horizon(self):
-        cohort = Cohort(
-            subjects=(subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 9.0, event=False)),
+        cohort = cohort_of(
+            (subj("t", 0.3, 1, 2.0), subj("c", 0.4, 0, 9.0, event=False)),
             horizon=10.0,
         )
         assert not omega_n_holds(match(cohort, ONE_CELL))
 
     def test_vacuous_when_no_matched_treated(self):
-        cohort = Cohort(subjects=(subj("c1", 0.4, 0, 1.0), subj("c2", 0.5, 0, 2.0)), horizon=10.0)
+        cohort = cohort_of((subj("c1", 0.4, 0, 1.0), subj("c2", 0.5, 0, 2.0)), horizon=10.0)
         assert omega_n_holds(match(cohort, ONE_CELL))
 
 
@@ -371,7 +371,7 @@ def random_covered_cohort(rng, force_coverage):
             next_id += 1
     if not subjects:
         subjects.append(subj(0, 0.25, 0, 1.0, False))
-    return match(Cohort(subjects=tuple(subjects), horizon=horizon), scheme)
+    return match(cohort_of(subjects, horizon=horizon), scheme)
 
 
 def test_coverage_event_implies_pooled_equality_and_monotone_decline():
@@ -382,7 +382,7 @@ def test_coverage_event_implies_pooled_equality_and_monotone_decline():
         if not omega_n_holds(mc) or mc.n1 == 0:
             continue
         checked += 1
-        times = [0.0] + build_event_grid(mc.cohort).tolist()
+        times = [0.0] + mc.cohort.time_axis[0][mc.cohort.event_steps[0]].tolist()
         prev = {1: math.inf, 0: math.inf}
         for t in times:
             y1 = pooled_at_risk(mc, 1, t)
@@ -399,10 +399,10 @@ def test_weights_depend_only_on_cell_risk_counts():
         subj(i, float(rng.uniform(0.01, 1.0)), int(rng.integers(2)), float(rng.uniform(0, 10)))
         for i in range(16)
     ]
-    mc1 = match(Cohort(subjects=tuple(subjects), horizon=10.0), TWO_CELLS)
+    mc1 = match(cohort_of(subjects, horizon=10.0), TWO_CELLS)
     perm = list(subjects)
     rng.shuffle(perm)
-    mc2 = match(Cohort(subjects=tuple(perm), horizon=10.0), TWO_CELLS)
+    mc2 = match(cohort_of(perm, horizon=10.0), TWO_CELLS)
     for s in subjects:
         for t in (0.0, 1.0, 3.7, 8.2):
             assert cem_weight(mc1, s.id, t) == cem_weight(mc2, s.id, t)

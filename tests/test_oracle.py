@@ -7,7 +7,6 @@ from cemlogrank import (
     Cohort,
     HazardModel,
     Scenario,
-    SubjectRecord,
     WeightFunction,
     generate,
     grid_scheme,
@@ -24,19 +23,20 @@ from cemlogrank.oracle import (
     stratum_by_comparison,
     weights_by_enumeration,
 )
-from cemlogrank.survival import build_event_grid
+
+from cohorts import Row, cohort_of
 
 
 def subj(id, arm, time, event=True, x=(0.0,)):
-    return SubjectRecord(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
+    return Row(id=id, covariates=tuple(x), arm=arm, observed_time=time, event=event)
 
 
 class TestClassicalLogrank:
     def test_hand_enumerated_fixture(self):
         # treated: events at 1 and 3, censored at 5; control: events at 2 and
         # 6, censored at 4.  Risk-set walk gives numerator 0.6, variance 0.74.
-        cohort = Cohort(
-            subjects=(
+        cohort = cohort_of(
+            (
                 subj("a", 1, 1.0), subj("b", 1, 3.0), subj("c", 1, 5.0, event=False),
                 subj("d", 0, 2.0), subj("e", 0, 4.0, event=False), subj("f", 0, 6.0),
             ),
@@ -52,22 +52,22 @@ class TestClassicalLogrank:
         base = [(float(rng.uniform(0.5, 9.0)), bool(rng.random() < 0.7)) for _ in range(8)]
         subjects = [subj(f"t{i}", 1, t, e) for i, (t, e) in enumerate(base)]
         subjects += [subj(f"c{i}", 0, t, e) for i, (t, e) in enumerate(base)]
-        res = classical_logrank(Cohort(subjects=tuple(subjects), horizon=10.0))
+        res = classical_logrank(cohort_of(subjects, horizon=10.0))
         assert res.numerator == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_follows_event_bearing_arm(self):
         subjects = [subj(f"t{i}", 1, 1.0 + i, True) for i in range(4)]
         subjects += [subj(f"c{i}", 0, 20.0 + i, False) for i in range(4)]
-        res = classical_logrank(Cohort(subjects=tuple(subjects), horizon=30.0))
+        res = classical_logrank(cohort_of(subjects, horizon=30.0))
         assert res.numerator > 0
 
     def test_needs_both_arms(self):
         with pytest.raises(ValueError):
-            classical_logrank(Cohort(subjects=(subj("a", 1, 1.0),), horizon=5.0))
+            classical_logrank(cohort_of((subj("a", 1, 1.0),), horizon=5.0))
 
 
-def one(subject: SubjectRecord) -> Cohort:
-    return Cohort(subjects=(subject,), horizon=100.0)
+def one(row: Row) -> Cohort:
+    return cohort_of((row,), horizon=100.0)
 
 
 class TestCompensator:
@@ -89,16 +89,17 @@ class TestCompensator:
     def test_infinite_rate_accrues_nothing_over_an_empty_interval(self):
         # a covariate term beyond the float range gives an infinite rate
         hazard = HazardModel(covariate_effect=1e308)
-        cohort = Cohort(subjects=(subj("a", 0, 0.0, x=(1.0,)), subj("b", 0, 2.0, x=(1.0,))), horizon=5.0)
+        cohort = cohort_of((subj("a", 0, 0.0, x=(1.0,)), subj("b", 0, 2.0, x=(1.0,))), horizon=5.0)
         assert compensator(cohort, hazard, 5.0).tolist() == [0.0, math.inf]
         assert compensator(cohort, hazard, 0.0).tolist() == [0.0, 0.0]
         assert compensator(cohort, hazard, 1.0).tolist() == [0.0, math.inf]
 
     def test_path_nondecreasing(self):
-        cohort = Cohort(
-            subjects=(subj("a", 0, 4.0), subj("b", 1, 1.0), subj("c", 1, 5.0), subj("d", 0, 7.0)), horizon=10.0
+        cohort = cohort_of(
+            (subj("a", 0, 4.0), subj("b", 1, 1.0), subj("c", 1, 5.0), subj("d", 0, 7.0)), horizon=10.0
         )
-        path = np.array([compensator(cohort, self.HZ, t) for t in build_event_grid(cohort).tolist()])
+        times = cohort.time_axis[0][cohort.event_steps[0]].tolist()
+        path = np.array([compensator(cohort, self.HZ, t) for t in times])
         assert path.shape == (4, 4)
         assert (np.diff(path, axis=0) >= 0.0).all()
         assert (np.diff(path[:, 0]) > 0.0).any()
@@ -150,8 +151,8 @@ class TestMartingaleResiduals:
 
 class TestNelsonAalenDifference:
     def test_single_arm_events(self):
-        cohort = Cohort(
-            subjects=(subj("t", 1, 2.0), subj("c", 0, 9.0, event=False)), horizon=10.0
+        cohort = cohort_of(
+            (subj("t", 1, 2.0), subj("c", 0, 9.0, event=False)), horizon=10.0
         )
         assert nelson_aalen_difference(cohort) == pytest.approx(1.0, abs=1e-15)
 
@@ -172,11 +173,11 @@ class TestNelsonAalenDifference:
             # one guard per arm keeps both risk sets alive through the horizon
             subjects.append(subj("keep1", 1, 11.0, False, x=(0.5,)))
             subjects.append(subj("keep0", 0, 11.0, False, x=(0.5,)))
-            cohort = Cohort(subjects=tuple(subjects), horizon=10.0)
+            cohort = cohort_of(subjects, horizon=10.0)
             mc = match(cohort, scheme)
             step = cohort.event_steps[1]
             bracket = 0.0
-            for k, t in enumerate(build_event_grid(cohort).tolist()):
+            for k, t in enumerate(cohort.time_axis[0][cohort.event_steps[0]].tolist()):
                 events = [(cohort.ids[i], cohort.arms[i]) for i in np.flatnonzero(step == k).tolist()]
                 dn1 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 1)
                 dn0 = sum(cem_weight(mc, sid, t) for sid, arm in events if arm == 0)

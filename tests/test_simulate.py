@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cemlogrank import ConfigError, HazardModel, Scenario, fit_logistic, generate
+from cemlogrank import Cohort, ConfigError, HazardModel, Scenario, fit_logistic, generate
 from cemlogrank.simulate import assignment_probability, draw_covariates, draw_survival, replicate_rng
 
 
@@ -150,21 +150,18 @@ class TestGenerate:
         # under the null, arm carries no information about the event flag
         # once covariates are controlled: its coefficient in a joint logistic
         # fit is near zero
-        from cemlogrank import Cohort, SubjectRecord
-
         sc = Scenario(n=200_000, assignment_model="model1", hypothesis="null", seed=12)
         cohort = generate(sc)
-        flipped = tuple(
-            SubjectRecord(
-                id=s.id,
-                covariates=(float(s.arm),) + s.covariates,
-                arm=1 if s.event else 0,
-                observed_time=1.0,
-                event=False,
-            )
-            for s in cohort.subjects
+        n = len(cohort)
+        # the arm becomes covariate 0, and the event flag the arm
+        probe = Cohort.from_columns(
+            cohort.ids,
+            np.column_stack([cohort.arms.astype(float), cohort.covariate_matrix]),
+            cohort.events.astype(int),
+            np.ones(n),
+            np.zeros(n, dtype=bool),
+            10.0,
         )
-        probe = Cohort(subjects=flipped, horizon=10.0)
         model = fit_logistic(probe, feature_selector=(0, 1, 2, 3, 4, 5))
         assert abs(model.coefficients[1]) < 0.02  # the arm column
 

@@ -46,16 +46,23 @@ OWNER_CHECKS = {
     "scenario-horizon": lambda c: Scenario(n=200, horizon=math.inf),
     "scenario-horizon-str": lambda c: Scenario(n=200, horizon="5"),
     "scenario-horizon-bool": lambda c: Scenario(n=200, horizon=True),
+    "scenario-censor-upper-str": lambda c: Scenario(n=200, censor_upper="5"),
+    "scenario-censor-upper-bool": lambda c: Scenario(n=200, censor_upper=True),
+    "scenario-treatment-log-hazard-str": lambda c: Scenario(n=200, treatment_log_hazard="1"),
+    "scenario-baseline-log-hazard-none": lambda c: Scenario(n=200, baseline_log_hazard=None),
     "cohort-horizon-str": lambda c: Cohort.from_columns(range(1), [[0.0]], [1], [1.0], [True], "5"),
     "cohort-horizon-none": lambda c: Cohort.from_columns(range(1), [[0.0]], [1], [1.0], [True], None),
     "cohort-horizon-bool": lambda c: Cohort.from_columns(range(1), [[0.0]], [1], [1.0], [True], True),
     "config-theta-overflow": lambda c: ExperimentConfig(Scenario(n=200), theta=1000.0),
     "config-theta-over-ceiling": lambda c: ExperimentConfig(Scenario(n=200), theta=3.0),
     "config-theta-nan": lambda c: ExperimentConfig(Scenario(n=200), theta=math.nan),
+    "config-theta-str": lambda c: ExperimentConfig(Scenario(n=200), theta="5"),
+    "config-theta-bool": lambda c: ExperimentConfig(Scenario(n=200), theta=True),
     "config-threads-zero": lambda c: ExperimentConfig(Scenario(n=200), threads=0),
     "config-threads-ceiling": lambda c: ExperimentConfig(Scenario(n=200), threads=MAX_THREADS + 1),
     "config-replications": lambda c: ExperimentConfig(Scenario(n=200), replications=2.5),
     "config-alpha": lambda c: ExperimentConfig(Scenario(n=200), alpha=1.0),
+    "config-alpha-str": lambda c: ExperimentConfig(Scenario(n=200), alpha="0.5"),
     "config-method": lambda c: ExperimentConfig(Scenario(n=200), method="all"),
     "config-box-dims": lambda c: ExperimentConfig(Scenario(n=200), box_lo=(0.0,) * 2),
     "config-box-span": lambda c: ExperimentConfig(Scenario(n=200), box_hi=(5.0, 5.0, -5.0)),
@@ -65,11 +72,16 @@ OWNER_CHECKS = {
     "scheme-dict-fractions": lambda c: CoarseningScheme.from_dict(
         {"box_lo": BOX[0], "box_hi": BOX[1], "bins_per_dim": 2.9, "binary_dims": 1}
     ),
+    "scheme-dict-no-keys": lambda c: CoarseningScheme.from_dict({"edges": 3}),
+    "scheme-dict-array": lambda c: CoarseningScheme.from_dict([]),
+    "scheme-dict-edges-number": lambda c: CoarseningScheme.from_dict({"continuous_edges": 3}),
     "grid-bins-fraction": lambda c: grid_scheme(*BOX, 2.9),
     "grid-bins-ceiling": lambda c: grid_scheme(*BOX, MAX_BINS + 1),
     "grid-box-span": lambda c: grid_scheme([0.0], [0.0], 2),
     "weight-fn": lambda c: WeightFunction(breakpoints=(1.0,), values=(1.0,)),
     "weight-fn-ceiling": lambda c: WeightFunction(breakpoints=(1.0,), values=(1.0, -2 * MAX_WEIGHT)),
+    "weight-fn-dict-null-values": lambda c: WeightFunction.from_dict({"values": None}),
+    "weight-fn-dict-no-values": lambda c: WeightFunction.from_dict({}),
     "match-dimension": lambda c: match(c, grid_scheme(*BOX, 4)),
     "logistic-features": lambda c: fit_logistic(c, (0, 8)),
     "logistic-features-fraction": lambda c: fit_logistic(c, (0.9, 1.7)),
