@@ -3,7 +3,6 @@ experiment outputs.  Every emitted JSON embeds the library version and a
 fingerprint of the canonicalized configuration that produced it.
 """
 
-import contextlib
 import csv
 import functools
 import io
@@ -11,9 +10,6 @@ import itertools
 import json
 import math
 import os
-import shutil
-import stat
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +25,14 @@ from .util import fingerprint, require_positive
 
 # Records parsed per vectorized block.  A block's columns and id hashes are
 # copied into buffers for the whole file, and of the block itself only its
-# ids joined into one string outlive it, so while parsing the reader holds
-# the cohort's data, 8 bytes per id and one block's strings.
+# ids joined into one string and its start lines outlive it, so while parsing
+# the reader holds the cohort's data, 8 bytes per id and one block's strings.
 CHUNK_ROWS = 2048
 
 # Characters for which csv.writer (QUOTE_MINIMAL, "\r\n" ending) quotes a field
 _QUOTED = (",", '"', "\r", "\n")
+
+_DUPLICATE = "duplicate subject id {!r}"
 
 
 def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
@@ -47,105 +45,95 @@ def read_cohort_csv(path, horizon: float | None = None) -> Cohort:
     content raises DatasetFormatError naming the earliest bad row by the
     physical line on which it starts.
 
-    Records are parsed in blocks of CHUNK_ROWS into column arrays, so the
-    whole file is never held as rows, and each block's columns are copied
-    once, into buffers sized from the file.  Each block's ids are kept as one
-    string and their hashes in a buffer; the ids are checked for duplicates
-    once, at the end, by sorting the hashes and comparing the ids of any
-    equal hashes.  The cohort builds its id tuple only when asked.  So the
-    working set is the cohort plus its id hashes and one block's strings: a
-    traced peak 2.2 MiB above the 2.7 MiB cohort at 50 000 subjects, and
-    6.9 MiB above the 27.1 MiB cohort at 500 000.  A file that fails any
-    check is read again row by row to name the earliest bad row; so input
-    that is not a regular file (a pipe, a FIFO) is first copied to an
-    anonymous temporary file.  The covariate matrix is C-ordered, as every
-    cohort's is.
+    The input is read once, up to its end or its first fault, and never
+    seeks, so a pipe is read as a file is.  Records are parsed in blocks of
+    CHUNK_ROWS into column arrays, each copied once into buffers sized from
+    the file, and each block's ids are kept as one string, their hashes in a
+    buffer that finds any repeated id at the end.  The cohort builds its id
+    tuple only when asked.  So the working set is the cohort plus its id
+    hashes and one block's strings: a traced peak 2.2 MiB above the 2.7 MiB
+    cohort at 50 000 subjects, and 7.0 MiB above the 27.1 MiB cohort at
+    500 000.  The covariate matrix is C-ordered, as every cohort's is.
     """
     if horizon is not None:
         require_positive("horizon", horizon)
-    with _seekable(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
-        try:
-            return _parse_cohort(fh, horizon, str(path))
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-@contextlib.contextmanager
-def _seekable(path):
-    """The file at ``path`` open for binary reading, or, when it is not a
-    regular file and so may not seek, a temporary copy of its bytes."""
-    with open(path, "rb") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            yield fh
-            return
-        with tempfile.TemporaryFile() as copy:
-            shutil.copyfileobj(fh, copy)
-            copy.seek(0)
-            yield copy
-
-
-def _parse_cohort(fh, horizon, name) -> Cohort:
-    try:
-        id_blocks, covariates, arms, times, events = _parse_columns(fh, name)
-    except (ValueError, csv.Error):
-        # a bad row, a duplicate id, a field over csv.field_size_limit() or
-        # text that is not UTF-8 (a ValueError too)
-        fh.seek(0)
-        _raise_first_bad_row(fh, name)
+    with open(path, encoding="utf-8", newline="") as fh:
+        id_blocks, covariates, arms, times, events = _parse_columns(fh, str(path))
     if horizon is None:
         horizon = float(times.max())
         if horizon <= 0:
-            raise DatasetFormatError(f"{name}: all times are zero; pass an explicit horizon")
+            raise DatasetFormatError(f"{path}: all times are zero; pass an explicit horizon")
     build_ids = functools.partial(_ids_from_blocks, id_blocks)
     return Cohort._from_checked_columns(build_ids, covariates, arms, times, events, float(horizon))
 
 
+class _BadBlock(Exception):
+    """A block failed its checks; the argument is its records' field lists."""
+
+
 def _parse_columns(fh, name) -> tuple:
-    """The id blocks and the column arrays of a well-formed file; ValueError
-    or csv.Error when any row is bad.
+    """The id blocks and the column arrays of a well-formed file, read in one
+    pass; DatasetFormatError naming the earliest bad row otherwise.
 
     Each block's rows are copied once, into buffers sized at the first rows:
     the file's size over their bytes per row, with 1/64 slack.  The bytes are
     counted from below, so the guess tends to be high; buffers that fall
-    short grow by a quarter.  At the end they are trimmed to the rows read.
-    Every buffer is C-ordered, the covariates an n x d matrix."""
+    short, as a pipe's (of size 0) do, grow by a quarter.  At the end they
+    are trimmed to the rows read.  Every buffer is C-ordered, the covariates
+    an n x d matrix.  A bad row is named from the rows held when the pass
+    stops: at a block that fails its checks, a record csv.reader rejects,
+    text that is not UTF-8, or the end."""
     blocks = _record_blocks(fh)
-    first = next(blocks, None)
-    if first is None:
-        raise DatasetFormatError(f"{name}: empty file")
-    (head,), _ = first
-    header = _fields(head)
-    _check_header(header, name)
-    width = len(header)
-    size, seen = os.fstat(fh.fileno()).st_size, _least_bytes([head])
-    # covariates, arms, times, events and the ids' hashes
-    id_blocks, buffers, n = [], None, 0
-    for records, _ in blocks:
-        if buffers is None:
-            seen += _least_bytes(records)
-        # in place, so that emptying the list frees the block's strings,
-        # which the suspended generator also refers to
-        records[:] = filter(None, records)
-        if records:
-            ids, *columns = _parse_block(records, width)
-            columns.append(_id_hashes(ids))
-            stop = n + len(ids)
+    # buffers of the covariates, arms, times, events and the ids' hashes
+    id_blocks, line_blocks, buffers, n = [], [], None, 0
+    # where the next record starts, and the failing block's rows or a fault
+    line, width, rows, fault = 1, 0, None, None
+    try:
+        first = next(blocks, None)
+        if first is None:
+            raise DatasetFormatError(f"{name}: empty file")
+        (head,), starts = first
+        header = _fields(head)
+        _check_header(header, name)
+        width, line = len(header), starts[-1]
+        size, least = os.fstat(fh.fileno()).st_size, _least_bytes([head])
+        for records, starts in blocks:
+            line = starts[-1]
             if buffers is None:
-                guess = stop * size // seen
-                cap = max(stop, guess + guess // 64)
-                buffers = [np.empty((cap, *column.shape[1:]), column.dtype) for column in columns]
-            elif stop > len(buffers[0]):
-                _resize(buffers, max(stop, len(buffers[0]) * 5 // 4))
-            for buffer, column in zip(buffers, columns):
-                buffer[n:stop] = column
-            n = stop
-            joined = "\n".join(ids)
-            # a quoted id may hold a line break; such a block keeps its list
-            id_blocks.append(joined if joined.count("\n") == len(ids) - 1 else ids)
-    if not id_blocks:
-        raise DatasetFormatError(f"{name}: no data rows")
-    if not _ids_are_unique(buffers.pop()[:n], id_blocks):
-        raise ValueError("duplicate id")
+                least += _least_bytes(records)
+            lines = np.fromiter(itertools.compress(starts, records), dtype=np.int64)
+            # in place, so that emptying the list frees the block's strings,
+            # which the suspended generator also refers to
+            records[:] = filter(None, records)
+            if records:
+                # the nonblank records' start lines, a range when consecutive
+                consecutive = lines[-1] - lines[0] == len(lines) - 1
+                line_blocks.append(range(lines[0], lines[-1] + 1) if consecutive else lines)
+                ids, *columns = _parse_block(records, width)
+                columns.append(_id_hashes(ids))
+                stop = n + len(ids)
+                if buffers is None:
+                    guess = stop * size // least
+                    cap = max(stop, guess + guess // 64)
+                    buffers = [np.empty((cap, *column.shape[1:]), column.dtype) for column in columns]
+                elif stop > len(buffers[0]):
+                    _resize(buffers, max(stop, len(buffers[0]) * 5 // 4))
+                for buffer, column in zip(buffers, columns):
+                    buffer[n:stop] = column
+                n = stop
+                joined = "\n".join(ids)
+                # a quoted id may hold a line break; such a block keeps its list
+                id_blocks.append(joined if joined.count("\n") == len(ids) - 1 else ids)
+    except _BadBlock as exc:
+        (rows,) = exc.args
+    except csv.Error as exc:
+        fault = f"{name} line {line}: {exc}"
+    except UnicodeDecodeError as exc:
+        fault = f"{name}: not UTF-8 text ({exc.reason})"
+    hashes = buffers.pop()[:n] if buffers else _id_hashes(())
+    _raise_bad_row(name, id_blocks, line_blocks, hashes, rows, width)
+    if fault or not id_blocks:
+        raise DatasetFormatError(fault or f"{name}: no data rows")
     _resize(buffers, n)
     return id_blocks, *buffers
 
@@ -172,46 +160,35 @@ def _id_hashes(ids) -> np.ndarray:
     return np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
 
 
-def _ids_are_unique(hashes: np.ndarray, id_blocks: list) -> bool:
-    """Whether the ids are unique, given their hashes: one sort of the
-    hashes, and the ids of equal hashes compared exactly."""
+def _raise_bad_row(name, id_blocks, line_blocks, hashes, rows, width) -> None:
+    """Raise DatasetFormatError naming the earliest bad row: a repeated id
+    among the rows of ``id_blocks``, found by sorting their ``hashes`` in
+    place and comparing the ids of equal hashes, and else the first bad one
+    of ``rows``, the field lists of the failing block after them."""
     hashes.sort()
     hits = hashes[1:][hashes[1:] == hashes[:-1]]
-    if not len(hits):
-        return True
-    ids = _ids_from_blocks(id_blocks)
-    suspects = list(itertools.compress(ids, np.isin(_id_hashes(ids), hits).tolist()))
-    return len(set(suspects)) == len(suspects)
+    if rows is None and not len(hits):
+        return
+    ids, seen, bad = _ids_from_blocks(id_blocks), set(), None
+    for k in np.flatnonzero(np.isin(_id_hashes(ids), hits)).tolist():
+        if ids[k] in seen:
+            bad = k, _DUPLICATE.format(ids[k])
+            break
+        seen.add(ids[k])
+    if bad is None and rows is not None:
+        # of the earlier ids, only those the block repeats
+        k, message = _first_bad_row(rows, width, {row[0] for row in rows}.intersection(ids))
+        bad = len(ids) + k, message
+    if bad is not None:
+        k, message = bad
+        line = next(itertools.islice(itertools.chain.from_iterable(line_blocks), k, None))
+        raise DatasetFormatError(f"{name} line {line}: {message}")
 
 
 def _ids_from_blocks(id_blocks: list) -> tuple[str, ...]:
     return tuple(
         itertools.chain.from_iterable(b.split("\n") if isinstance(b, str) else b for b in id_blocks)
     )
-
-
-def _raise_first_bad_row(fh, name) -> None:
-    """Read a file that failed a check again, row by row, and raise
-    DatasetFormatError naming the line of its earliest bad row, or of the
-    record where csv.reader failed."""
-    blocks = _record_blocks(fh)
-    line = 1  # where the next record starts
-    try:
-        (head,), starts = next(blocks)
-        width = len(_fields(head))
-        seen: set[str] = set()
-        line = starts[-1]
-        for records, starts in blocks:
-            data = [_fields(record) for record in records if record]
-            bad = _first_bad_row(data, width, seen)
-            if bad is not None:
-                k, message = bad
-                line = [start for start, record in zip(starts, records) if record][k]
-                raise DatasetFormatError(f"{name} line {line}: {message}")
-            line = starts[-1]
-    except csv.Error as exc:
-        raise DatasetFormatError(f"{name} line {line}: {exc}") from None
-    raise AssertionError("a file failed its checks but no row did")
 
 
 def _check_header(header: list[str], name: str) -> None:
@@ -276,35 +253,38 @@ def _fields(record) -> list[str]:
 
 def _parse_block(data: list, width: int) -> tuple:
     """Ids and column arrays of nonblank records that are all well formed;
-    ValueError when any record is bad.  Both tokenizers' records become the
-    same column lists, and ``data`` is emptied once they are split."""
+    _BadBlock with their field lists when any record is bad.  Both
+    tokenizers' records become the same column lists, and ``data`` is
+    emptied once they are split."""
     if isinstance(data[0], str):
         if list(map(str.count, data, itertools.repeat(","))).count(width - 1) != len(data):
-            raise ValueError("field count")
+            raise _BadBlock(list(map(_fields, data)))
         flat = ",".join(data).split(",")
     else:
         if set(map(len, data)) != {width}:
-            raise ValueError("field count")
+            raise _BadBlock(data)
         flat = list(itertools.chain.from_iterable(data))
     del data[:]
     columns = [flat[k::width] for k in range(width)]
     del flat
-    # np.array calls float() on each string, as the row checks do
-    covariates = np.array(columns[1:-3], dtype=float).reshape(width - 4, len(columns[0])).T
-    times = np.array(columns[-2], dtype=float)
-    if not (np.isfinite(covariates).all() and np.isfinite(times).all() and (times >= 0.0).all()):
-        raise ValueError("range")
-    flags = []
-    for column in (columns[-3], columns[-1]):
-        if not set(column) <= {"0", "1"}:
-            raise ValueError("flag")
-        # every cell is one ASCII character, '0' or '1'
-        flags.append(np.frombuffer("".join(column).encode("ascii"), dtype=np.uint8) == ord("1"))
-    arms, events = flags
+    try:
+        # np.array calls float() on each string, as the row checks do
+        covariates = np.array(columns[1:-3], dtype=float).reshape(width - 4, len(columns[0])).T
+        times = np.array(columns[-2], dtype=float)
+    except ValueError:
+        raise _BadBlock(list(zip(*columns))) from None
+    finite = np.isfinite(covariates).all() and np.isfinite(times).all() and (times >= 0.0).all()
+    if not (finite and set(columns[-3]) <= {"0", "1"} and set(columns[-1]) <= {"0", "1"}):
+        raise _BadBlock(list(zip(*columns)))
+    # every flag is one ASCII character, '0' or '1'
+    arms, events = (
+        np.frombuffer("".join(column).encode("ascii"), dtype=np.uint8) == ord("1")
+        for column in (columns[-3], columns[-1])
+    )
     return columns[0], covariates, arms.astype(np.int8), times, events
 
 
-def _first_bad_row(data: list[list[str]], width: int, seen: set[str]) -> tuple[int, str] | None:
+def _first_bad_row(data, width: int, seen: set[str]) -> tuple[int, str] | None:
     """Index and message of the first row failing a check, the checks of a
     row taken in order: field count, covariates, z, time, event, id unseen.
     The ids of the rows before it join ``seen``; None when no row fails."""
@@ -328,7 +308,7 @@ def _first_bad_row(data: list[list[str]], width: int, seen: set[str]) -> tuple[i
         if row[-1] not in ("0", "1"):
             return k, f"event must be 0 or 1, got {row[-1]!r}"
         if row[0] in seen:
-            return k, f"duplicate subject id {row[0]!r}"
+            return k, _DUPLICATE.format(row[0])
         seen.add(row[0])
     return None
 

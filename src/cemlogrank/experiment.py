@@ -19,7 +19,7 @@ from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import check_decision, run_test
 from .matching import MAX_BINS, grid_scheme, match
 from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
-from .util import norm_cdf, require_int, require_positive
+from .util import norm_cdf, require_arguments, require_int, require_positive, require_reals
 
 Method = Literal["cem", "iptw", "both"]
 
@@ -48,8 +48,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "box_lo", tuple(map(float, self.box_lo)))
-        object.__setattr__(self, "box_hi", tuple(map(float, self.box_hi)))
+        object.__setattr__(self, "box_lo", require_reals("box_lo", self.box_lo))
+        object.__setattr__(self, "box_hi", require_reals("box_hi", self.box_hi))
         require_int("replications", self.replications, 1)
         require_int("threads", self.threads, 1, MAX_THREADS)
         check_decision(self.alpha)
@@ -79,9 +79,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data["scenario"] = Scenario.from_dict(data["scenario"])
-        return cls(**data)
+        require_arguments(cls, data, "an experiment config")
+        return cls(**{**data, "scenario": Scenario.from_dict(data["scenario"])})
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matching import MatchedCohort, omega_n_holds
-from .util import is_real, norm_cdf, norm_sf, pinv, pinv_array
+from .util import is_real, norm_cdf, norm_sf, pinv, pinv_array, require_reals
 
 Direction = Literal["upper", "lower", "two_sided"]
 _DIRECTIONS = ("upper", "lower", "two_sided")
@@ -46,8 +46,8 @@ class WeightFunction:
     values: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "breakpoints", require_reals("breakpoints", self.breakpoints))
+        object.__setattr__(self, "values", require_reals("values", self.values))
         if len(self.values) != len(self.breakpoints) + 1:
             raise ConfigError("need exactly one more value than breakpoints")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .survival import Cohort, SubjectId, risk_set_sums
-from .util import pinv, require_int
+from .util import pinv, require_int, require_reals
 
 # Bin index per continuous dimension followed by the literal value of each
 # binary dimension; identifies exactly one cell of the partition.
@@ -50,9 +50,8 @@ class CoarseningScheme:
     binary_dims: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "continuous_edges", tuple(tuple(map(float, e)) for e in self.continuous_edges)
-        )
+        checked = tuple(require_reals("continuous_edges", e) for e in self.continuous_edges)
+        object.__setattr__(self, "continuous_edges", checked)
         for edges in self.continuous_edges:
             if len(edges) < 2:
                 raise ConfigError("each continuous dimension needs at least 2 edges")
@@ -110,15 +109,12 @@ def grid_scheme(
     """Uniform partition: ``bins_per_dim`` (at most MAX_BINS) half-open bins
     per continuous dimension across the box, crossed with all binary values."""
     require_int("bins_per_dim", bins_per_dim, 1, MAX_BINS)
-    lo = np.asarray(box_lo, dtype=float)
-    hi = np.asarray(box_hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1:
+    lo, hi = require_reals("box_lo", box_lo), require_reals("box_hi", box_hi)
+    if len(lo) != len(hi):
         raise ConfigError("box_lo and box_hi must be equal-length vectors")
-    if not all(a < b and math.isfinite(b - a) for a, b in zip(lo.tolist(), hi.tolist())):
+    if not all(a < b and math.isfinite(b - a) for a, b in zip(lo, hi)):
         raise ConfigError("box_lo must be strictly below box_hi, a finite span apart")
-    edges = tuple(
-        tuple(np.linspace(lo[j], hi[j], bins_per_dim + 1).tolist()) for j in range(len(lo))
-    )
+    edges = tuple(tuple(np.linspace(a, b, bins_per_dim + 1).tolist()) for a, b in zip(lo, hi))
     return CoarseningScheme(continuous_edges=edges, binary_dims=binary_dims)
 
 

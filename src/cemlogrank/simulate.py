@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .survival import Cohort
-from .util import expit, is_real, require_int, require_positive
+from .util import expit, is_real, require_arguments, require_int, require_positive
 
 AssignmentModel = Literal["model1", "model2"]
 Hypothesis = Literal["null", "alternative"]
@@ -101,6 +101,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        require_arguments(cls, data, "a scenario")
         return cls(**data)
 
 

@@ -1,5 +1,6 @@
 """Small numeric and hashing helpers shared across the package."""
 
+import inspect
 import json
 import math
 import numbers
@@ -57,6 +58,28 @@ def require_int(name: str, value, minimum: float = -math.inf, maximum: float = m
         else:
             bounds = f" >= {minimum}" if minimum > -math.inf else ""
         raise ConfigError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
+def require_reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; ConfigError naming ``name`` unless
+    each is a real number (a bool is not) within the float range."""
+    try:
+        if all(map(is_real, values := tuple(values))):
+            return tuple(map(float, values))
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a list of real numbers within the float range")
+
+
+def require_arguments(cls, data, what: str) -> None:
+    """ConfigError unless ``data`` is a dict of keyword arguments that the
+    constructor of ``cls`` takes, naming the first missing or unknown key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be an object, got {type(data).__name__}")
+    try:
+        inspect.signature(cls).bind(**data)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def fingerprint(obj) -> str:

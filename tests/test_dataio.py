@@ -379,8 +379,8 @@ def test_reader_writes_each_column_once(tmp_path, traced_peak):
 
 
 def test_a_pipe_is_read_as_its_file(tmp_path):
-    # a pipe cannot seek back for the row-by-row reread, so its bytes are
-    # copied to a temporary file and read as a file of their size
+    # a pipe's size reads 0, so its buffers grow from the first block's rows
+    # to the rows read, and end as a file's do
     path = tmp_path / "data.csv"
     dataio.write_cohort_csv(generate(Scenario(n=1000, seed=4)), path)
     fifo = tmp_path / "pipe"
@@ -411,19 +411,30 @@ def read_through_a_fifo(tmp_path, data: bytes) -> Cohort:
 
 
 def test_a_bad_row_read_from_a_pipe_is_named(tmp_path):
-    # naming the row reads the input again from its start, which a pipe's
-    # temporary copy allows
+    # the row is named from the block that holds it, without reading the
+    # input again
     text = "id,x1,z,time,event\na,0.5,1,1.0,1\nb,oops,0,2.0,1\n"
     with pytest.raises(dataio.DatasetFormatError, match=r"fifo line 3: unparseable covariate$"):
         read_through_a_fifo(tmp_path, text.encode())
 
 
 def test_a_regular_file_is_read_without_a_copy(tmp_path):
+    # and so is a FIFO, whether its fault is a bad row or a duplicate id
+    # found after its last block
     path = tmp_path / "data.csv"
     path.write_text("id,x1,z,time,event\na,0.5,1,1.0,1\nb,oops,0,2.0,1\n")
-    with mock.patch.object(dataio.tempfile, "TemporaryFile", side_effect=AssertionError("copied")):
+    repeated = "id,x1,z,time,event\na,0.5,1,1.0,1\nb,0.5,0,2.0,1\na,0.5,0,3.0,0\n"
+    with mock.patch("tempfile.TemporaryFile", side_effect=AssertionError("copied")):
         with pytest.raises(dataio.DatasetFormatError, match=r"line 3: unparseable covariate$"):
             dataio.read_cohort_csv(path)
+        for text, message in [
+            (path.read_text(), r"fifo line 3: unparseable covariate$"),
+            (repeated, r"fifo line 4: duplicate subject id 'a'$"),
+        ]:
+            (tmp_path / "pipe").mkdir(exist_ok=True)
+            with pytest.raises(dataio.DatasetFormatError, match=message):
+                read_through_a_fifo(tmp_path / "pipe", text.encode())
+            (tmp_path / "pipe" / "fifo").unlink()
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0, "5", True])
@@ -504,6 +515,28 @@ def test_duplicate_in_an_early_block_is_named_before_a_later_bad_row(tmp_path):
     with mock.patch.object(dataio, "CHUNK_ROWS", 2):
         with pytest.raises(dataio.DatasetFormatError, match=r"line 5: duplicate subject id 'a'$"):
             dataio.read_cohort_csv(path)
+
+
+def test_duplicate_of_a_multiline_id_is_named_by_its_physical_line(tmp_path):
+    # the duplicate is found after the last block, from the ids' hashes, and
+    # named by the start line its block kept: records span lines and blank
+    # lines come between them, so those start lines are not consecutive
+    text = (
+        "id,x1,z,time,event\n"
+        '"a\nb",0.5,1,1.0,1\n'
+        "c,0.5,0,2.0,1\n"
+        "\n"
+        '"d\n\ne",0.5,1,1.0,0\n'
+        '"a\nb",0.25,0,3.0,1\n'
+        "f,0.5,1,1.0,1\n"
+    )
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    assert reference_read(path, 5.0) == 9
+    for chunk in (1, 2, 3):
+        with mock.patch.object(dataio, "CHUNK_ROWS", chunk):
+            with pytest.raises(dataio.DatasetFormatError, match=r"line 9: duplicate subject id 'a\\nb'$"):
+                dataio.read_cohort_csv(path)
 
 
 def test_colliding_hashes_leave_a_unique_file_as_read(tmp_path):

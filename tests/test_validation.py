@@ -66,6 +66,10 @@ OWNER_CHECKS = {
     "config-method": lambda c: ExperimentConfig(Scenario(n=200), method="all"),
     "config-box-dims": lambda c: ExperimentConfig(Scenario(n=200), box_lo=(0.0,) * 2),
     "config-box-span": lambda c: ExperimentConfig(Scenario(n=200), box_hi=(5.0, 5.0, -5.0)),
+    "config-box-number": lambda c: ExperimentConfig(Scenario(n=200), box_lo=3),
+    "config-dict-no-scenario": lambda c: ExperimentConfig.from_dict({}),
+    "config-dict-scenario-number": lambda c: ExperimentConfig.from_dict({"scenario": 3}),
+    "scenario-dict-unknown-key": lambda c: Scenario.from_dict({"m": 1}),
     "scheme-edges": lambda c: CoarseningScheme(((0.0,),)),
     "scheme-binary-fraction": lambda c: CoarseningScheme(((0.0, 1.0),), binary_dims=1.7),
     "scheme-binary-negative": lambda c: CoarseningScheme(((0.0, 1.0),), binary_dims=-1),
@@ -75,6 +79,8 @@ OWNER_CHECKS = {
     "scheme-dict-no-keys": lambda c: CoarseningScheme.from_dict({"edges": 3}),
     "scheme-dict-array": lambda c: CoarseningScheme.from_dict([]),
     "scheme-dict-edges-number": lambda c: CoarseningScheme.from_dict({"continuous_edges": 3}),
+    "scheme-dict-edge-null": lambda c: CoarseningScheme.from_dict({"continuous_edges": [[0, None]]}),
+    "scheme-dict-edge-overflow": lambda c: CoarseningScheme.from_dict({"continuous_edges": [[0, 10**400]]}),
     "grid-bins-fraction": lambda c: grid_scheme(*BOX, 2.9),
     "grid-bins-ceiling": lambda c: grid_scheme(*BOX, MAX_BINS + 1),
     "grid-box-span": lambda c: grid_scheme([0.0], [0.0], 2),
@@ -82,6 +88,7 @@ OWNER_CHECKS = {
     "weight-fn-ceiling": lambda c: WeightFunction(breakpoints=(1.0,), values=(1.0, -2 * MAX_WEIGHT)),
     "weight-fn-dict-null-values": lambda c: WeightFunction.from_dict({"values": None}),
     "weight-fn-dict-no-values": lambda c: WeightFunction.from_dict({}),
+    "weight-fn-dict-null-value": lambda c: WeightFunction.from_dict({"values": [None]}),
     "match-dimension": lambda c: match(c, grid_scheme(*BOX, 4)),
     "logistic-features": lambda c: fit_logistic(c, (0, 8)),
     "logistic-features-fraction": lambda c: fit_logistic(c, (0.9, 1.7)),
@@ -99,6 +106,24 @@ def test_owner_check_raises_config_error(cohort, check):
     with pytest.raises(ConfigError) as info:
         check(cohort)
     assert isinstance(info.value, ValueError)
+
+
+# a malformed element or key raises a ConfigError naming its field or key
+NAMED_FIELDS = {
+    "continuous_edges": lambda: CoarseningScheme.from_dict({"continuous_edges": [[0, None]]}),
+    "breakpoints": lambda: WeightFunction(breakpoints=(10**400,), values=(1.0, 2.0)),
+    "values": lambda: WeightFunction.from_dict({"values": [None]}),
+    "box_lo": lambda: ExperimentConfig(Scenario(n=200), box_lo=3),
+    "box_hi": lambda: ExperimentConfig(Scenario(n=200), box_hi=("5", "5", "5")),
+    "'scenario'": lambda: ExperimentConfig.from_dict({}),
+    "'m'": lambda: Scenario.from_dict({"n": 200, "m": 1}),
+}
+
+
+@pytest.mark.parametrize("name, check", NAMED_FIELDS.items(), ids=NAMED_FIELDS.keys())
+def test_a_malformed_field_or_key_is_named(name, check):
+    with pytest.raises(ConfigError, match=name):
+        check()
 
 
 def test_feature_error_names_the_column(cohort):
