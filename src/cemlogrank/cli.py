@@ -22,6 +22,7 @@ from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import run_test
 from .matching import match
 from .simulate import Scenario, generate
+from .util import require_real
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,8 +130,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_test(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
+    require_real("--alpha", args.alpha, "lie in (0, 1)", 0.0, 1.0)
     # every flag and the files it names are checked before the dataset is read
     weight_fn = dataio.load_weight_fn(args.weight_fn) if args.weight_fn else None
     if args.method == "cem":
@@ -190,12 +190,22 @@ def _parse_features(text: str) -> tuple[int, ...]:
 def cmd_experiment(args) -> int:
     def build(data: dict) -> ExperimentConfig:
         data = {**data, **_given(args, ExperimentConfig)}
-        if args.seed is not None:
+        # a scenario that is not an object is left for from_dict to name
+        if args.seed is not None and isinstance(data.get("scenario"), dict):
             data["scenario"] = {**data["scenario"], "seed": args.seed}
         return ExperimentConfig.from_dict(data)
 
     config = dataio.load_json_object(args.config, "experiment config", build)
-    result = run_experiment(config)
+    # the output directory is made before the first replicate, so an unusable
+    # one fails at once, and removed again, deepest first, if the run fails
+    made = [path for path in (args.output_dir, *args.output_dir.parents) if not path.exists()]
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        result = run_experiment(config)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
     summary_path, samples_path = dataio.write_experiment_outputs(result, args.output_dir)
     print(f"wrote {summary_path} and {samples_path}")
     return EXIT_OK

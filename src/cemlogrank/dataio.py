@@ -358,14 +358,16 @@ def _id_column(ids) -> list[str]:
 def load_json_object(path, what: str, build):
     """``build(data)`` for the JSON object ``data`` in the file ``path``;
     text that is not UTF-8 JSON, a top level that is not an object, or an
-    object that ``build`` rejects raises ConfigError naming the path."""
+    object that ``build`` rejects (with a ValueError, as every owner's
+    ConfigError is) raises ConfigError naming the path.  Any other error in
+    ``build`` is a fault of the program and is not caught."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
         return build(data)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid {what}: {exc}") from exc
 
 

@@ -29,6 +29,11 @@ IPTW_FEATURES = (0, 1)  # intercept plus the first two covariates
 # of them at once.
 MAX_THREADS = 64
 
+# Ceiling on replications: run_experiment keeps every replicate's records,
+# about 0.5 kB per method, until it summarizes them, so 10**6 replicates of
+# both methods hold about 1 GB.
+MAX_REPLICATIONS = 10**6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,9 +53,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.scenario, Scenario):
+            raise ConfigError(f"scenario must be a Scenario, got {type(self.scenario).__name__}")
         object.__setattr__(self, "box_lo", require_reals("box_lo", self.box_lo))
         object.__setattr__(self, "box_hi", require_reals("box_hi", self.box_hi))
-        require_int("replications", self.replications, 1)
+        require_int("replications", self.replications, 1, MAX_REPLICATIONS)
         require_int("threads", self.threads, 1, MAX_THREADS)
         check_decision(self.alpha)
         if self.method not in ("cem", "iptw", "both"):

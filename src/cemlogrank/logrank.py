@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matching import MatchedCohort, omega_n_holds
-from .util import is_real, norm_cdf, norm_sf, pinv, pinv_array, require_reals
+from .util import norm_cdf, norm_sf, pinv, pinv_array, require_real, require_reals
 
 Direction = Literal["upper", "lower", "two_sided"]
 _DIRECTIONS = ("upper", "lower", "two_sided")
@@ -178,8 +178,7 @@ def variance_estimate(mc: MatchedCohort, weight_fn: WeightFunction | None = None
 def check_decision(alpha: float, direction: Direction = "two_sided") -> None:
     """ConfigError unless ``alpha`` is a real number (a bool is not) in
     (0, 1) and ``direction`` is known."""
-    if not (is_real(alpha) and 0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+    require_real("alpha", alpha, "lie in (0, 1)", 0.0, 1.0)
     if direction not in _DIRECTIONS:
         raise ConfigError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
 

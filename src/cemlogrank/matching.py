@@ -50,7 +50,10 @@ class CoarseningScheme:
     binary_dims: int = 0
 
     def __post_init__(self):
-        checked = tuple(require_reals("continuous_edges", e) for e in self.continuous_edges)
+        edges, lists = self.continuous_edges, (list, tuple)
+        if not (isinstance(edges, lists) and all(isinstance(e, lists) for e in edges)):
+            raise ConfigError("continuous_edges must be a list of edge lists")
+        checked = tuple(require_reals("continuous_edges", e) for e in edges)
         object.__setattr__(self, "continuous_edges", checked)
         for edges in self.continuous_edges:
             if len(edges) < 2:
@@ -85,10 +88,7 @@ class CoarseningScheme:
         if not isinstance(data, dict):
             raise ConfigError(f"a scheme must be an object, got {type(data).__name__}")
         if "continuous_edges" in data:
-            edges, lists = data["continuous_edges"], (list, tuple)
-            if not (isinstance(edges, lists) and all(isinstance(e, lists) for e in edges)):
-                raise ConfigError("continuous_edges must be a list of edge lists")
-            return cls(tuple(map(tuple, edges)), data.get("binary_dims", 0))
+            return cls(data["continuous_edges"], data.get("binary_dims", 0))
         missing = [key for key in ("box_lo", "box_hi", "bins_per_dim") if key not in data]
         if missing:
             raise ConfigError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .survival import Cohort
-from .util import expit, is_real, require_arguments, require_int, require_positive
+from .util import expit, require_arguments, require_int, require_positive, require_real
 
 AssignmentModel = Literal["model1", "model2"]
 Hypothesis = Literal["null", "alternative"]
@@ -31,6 +31,11 @@ MODEL1_INTERCEPT = -3.4
 MODEL2_INTERCEPT = -3.7
 ASSIGN_SLOPE = -0.2
 MODEL2_INTERACTION = 0.5
+
+# Ceiling on a scenario's n: generate holds about 128 bytes per subject at
+# its peak, so 10**9 subjects already ask for 128 GB; a larger n is refused
+# before numpy is asked for arrays it may not even be able to size.
+MAX_N = 10**9
 
 
 @dataclass(frozen=True)
@@ -73,17 +78,17 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        require_int("n", self.n, 2)
+        require_int("n", self.n, 2, MAX_N)
         require_int("seed", self.seed, 0)
         if self.assignment_model not in ("model1", "model2"):
             raise ConfigError(f"unknown assignment model {self.assignment_model!r}")
         if self.hypothesis not in ("null", "alternative"):
             raise ConfigError(f"unknown hypothesis {self.hypothesis!r}")
+        require_real("treatment_log_hazard", self.treatment_log_hazard)
+        require_real("covariate_log_hazard", self.covariate_log_hazard)
         # a baseline of -inf is a zero hazard
-        finite = (self.treatment_log_hazard, self.covariate_log_hazard)
-        if not (all(map(is_real, (*finite, self.baseline_log_hazard)))
-                and all(map(math.isfinite, finite)) and self.baseline_log_hazard < math.inf):
-            raise ConfigError("log-hazards must be finite, apart from a baseline of -inf")
+        if self.baseline_log_hazard != -math.inf:
+            require_real("baseline_log_hazard", self.baseline_log_hazard, "be finite or -inf")
         require_positive("censor_upper", self.censor_upper)
         require_positive("horizon", self.horizon)
 

@@ -24,6 +24,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .errors import ConfigError
 from .util import require_positive
 
 SubjectId = int | str
@@ -97,7 +98,9 @@ class Cohort:
         """Cohort from per-subject columns: ids, an n x d covariate matrix,
         0/1 arms, nonnegative finite times and 0/1 event flags.  The arrays
         are copied.  A ``range`` of ids is unique by construction, so only
-        other ids are scanned for duplicates, and bool events need no scan."""
+        other ids are scanned for duplicates, and bool events need no scan.
+        Any malformed column, ids that are not a sequence of hashable values
+        included, raises ConfigError, a ValueError."""
         cohort = cls.__new__(cls)
         cohort._set_columns(ids, covariates, arms, times, events, horizon)
         return cohort
@@ -121,40 +124,44 @@ class Cohort:
             self.__dict__["_id_range"] = ids
             self.__dict__["_build_ids"] = partial(tuple, ids)
         else:
-            ids = tuple(ids)
+            try:
+                ids = tuple(ids)
+                unique = len(set(ids)) == len(ids)
+            except TypeError as exc:
+                raise ConfigError(f"ids must be a sequence of hashable values: {exc}") from None
+            if not unique:
+                raise ConfigError("subject ids must be unique")
             self.__dict__["ids"] = ids
         n = len(ids)
         if n == 0:
-            raise ValueError("cohort must contain at least one subject")
+            raise ConfigError("cohort must contain at least one subject")
         require_positive("horizon", horizon)
-        arms = np.array(arms)
+        arms = _array("arms", arms)
         bad = (arms != 0) & (arms != 1)
         if bad.any():
-            raise ValueError(f"arm must be 0 or 1, got {arms[bad].tolist()[0]!r}")
-        times = np.array(times, dtype=float)
+            raise ConfigError(f"arm must be 0 or 1, got {arms[bad].tolist()[0]!r}")
+        times = _array("times", times, float)
         bad = ~(np.isfinite(times) & (times >= 0.0))
         if bad.any():
-            raise ValueError(
+            raise ConfigError(
                 f"observed_time must be finite and nonnegative, got {times[bad][0].item()!r}"
             )
-        events = np.array(events)
+        events = _array("events", events)
         if events.dtype != bool:
             bad = (events != 0) & (events != 1)
             if bad.any():
-                raise ValueError(f"event must be 0 or 1, got {events[bad].tolist()[0]!r}")
-        if not isinstance(ids, range) and len(set(ids)) != n:
-            raise ValueError("subject ids must be unique")
+                raise ConfigError(f"event must be 0 or 1, got {events[bad].tolist()[0]!r}")
         if not isinstance(covariates, np.ndarray):
             # as objects, rows of unequal lengths make a 1-D array, not numpy's error
-            covariates = np.array(covariates, dtype=object)
+            covariates = _array("covariates", covariates, object)
         if covariates.ndim != 2:
-            raise ValueError("all subjects must share one covariate dimension")
-        covariates = np.array(covariates, dtype=float, order="C")
+            raise ConfigError("all subjects must share one covariate dimension")
+        covariates = _array("covariates", covariates, float)
         if not np.isfinite(covariates).all():
-            raise ValueError("covariates must be finite")
+            raise ConfigError("covariates must be finite")
         columns = (arms.astype(np.int8), times, events.astype(bool, copy=False))
         if covariates.shape[0] != n or any(c.shape != (n,) for c in columns):
-            raise ValueError("every column needs one entry per subject")
+            raise ConfigError("every column needs one entry per subject")
         self._store(covariates, *columns, horizon)
 
     def _store(self, covariates, arms, times, events, horizon) -> None:
@@ -250,6 +257,15 @@ class SubjectRows(Sequence):
 
     def __iter__(self):
         return iter(self._cohort._records)
+
+
+def _array(name: str, values, dtype=None) -> np.ndarray:
+    """A C-ordered copy of ``values`` as an array; ConfigError naming the
+    column when numpy cannot convert it."""
+    try:
+        return np.array(values, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} cannot be read as an array: {exc}") from None
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -41,11 +41,26 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def require_real(
+    name: str, value, rule: str = "be finite", lower: float = -math.inf, upper: float = math.inf
+) -> None:
+    """ConfigError "``name`` must ``rule``, got ``value!r``" unless ``value``
+    is a real number (a bool is not) within the float range and strictly
+    between ``lower`` and ``upper``, so finite by default.  Only a float
+    copy is compared: ``value`` stays as given, so an echoed config and its
+    fingerprint do too."""
+    try:
+        if is_real(value) and lower < float(value) < upper:
+            return
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
 def require_positive(name: str, value) -> None:
     """ConfigError unless ``value`` is a real number (a bool is not), finite
     and positive."""
-    if not (is_real(value) and math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    require_real(name, value, "be finite and positive", lower=0.0)
 
 
 def require_int(name: str, value, minimum: float = -math.inf, maximum: float = math.inf) -> None:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemlogrank import __version__, dataio, experiment, match, run_test
+from cemlogrank import __version__, cli, dataio, experiment, match, run_test
 from cemlogrank.cli import main
+from cemlogrank.simulate import MAX_N
 
 SCHEME = {"box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0], "bins_per_dim": 4, "binary_dims": 2}
 
@@ -347,6 +348,15 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--output-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_unusable_output_dir_fails_before_any_replicate(self, workdir, capsys, monkeypatch):
+        cfg = self.config(workdir)
+        taken = workdir / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(cli, "run_experiment", mock.Mock(side_effect=AssertionError("ran")))
+        assert main(["experiment", "--config", str(cfg), "--output-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "File exists" in err and str(taken) in err
+
     def test_invalid_json_is_input_error(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{not json")
@@ -472,14 +482,16 @@ class TestLibraryChecksExit2:
             ["experiment", "--config", "{w}/config.json", "--theta", "1000", "--output-dir", "{w}/o"],
             ["experiment", "--config", "{w}/config.json", "--threads", "0", "--output-dir", "{w}/o"],
             ["experiment", "--config", "{w}/config.json", "--seed", "-1", "--output-dir", "{w}/o"],
+            ["experiment", "--config", "{w}/huge-n.json", "--output-dir", "{w}/o"],
+            ["simulate", "--n", "100000000000000000000", "--output", "{w}/x.csv"],
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x9"],
             ["test", "{w}/narrow.csv", "--scheme", "{w}/scheme.json"],
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x2,x2"],
             ["test", "{w}/data.csv", "--method", "iptw", "--features", "x0"],
         ],
         ids=[
-            "simulate-n", "simulate-replicate", "theta", "threads", "seed", "features", "dimension",
-            "features-duplicate", "features-x0",
+            "simulate-n", "simulate-replicate", "theta", "threads", "seed", "huge-n", "simulate-huge-n",
+            "features", "dimension", "features-duplicate", "features-x0",
         ],
     )
     def test_exit_2_with_one_error_line(self, workdir, capsys, argv):
@@ -487,6 +499,10 @@ class TestLibraryChecksExit2:
         (workdir / "narrow.csv").write_text("id,x1,z,time,event\na,0.5,1,1.0,1\nb,0.4,0,2.0,1\n")
         (workdir / "config.json").write_text(
             json.dumps({"scenario": {"n": 200, "seed": 5}, "replications": 2})
+        )
+        # refused by the ceiling on n before any array is allocated
+        (workdir / "huge-n.json").write_text(
+            json.dumps({"scenario": {"n": 10**20, "seed": 5}, "replications": 2})
         )
         capsys.readouterr()
         code = main([a.format(w=workdir) for a in argv])
@@ -643,12 +659,15 @@ def test_reports_are_written_in_one_json_format(workdir):
 
 # Values a hostile JSON file may hold in place of any field; the markers are
 # spliced in as raw JSON text: an array nested 100 000 deep, a literal too
-# large for a float and a large finite one.
+# large for a float (which JSON reads as inf), an integer literal beyond the
+# float range and a large finite float.
 HOSTILE_VALUES = [None, True, -1, 0, 2, 2.5, "x", [], {}, [1], math.nan, math.inf, -math.inf,
-                  "<deep>", "<huge>", "<big>"]
-RAW = {'"<deep>"': "[" * 100_000 + "]" * 100_000, '"<huge>"': "1e400", '"<big>"': "1e200"}
+                  "<deep>", "<huge>", "<huge-int>", "<big>"]
+RAW = {'"<deep>"': "[" * 100_000 + "]" * 100_000, '"<huge>"': "1e400", '"<huge-int>"': "1" + "0" * 400,
+       '"<big>"': "1e200"}
 # valid documents of each kind; any integer a mutation can set keeps threads
-# at most 2, n at most 200 and replications at most 3, so no run is large
+# at most 2, n at most 200 and replications at most 3, or is refused by
+# their ceilings, so no run is large
 VALID_DOCS = {
     "scheme": SCHEME,
     "edges": {"continuous_edges": [[-5.0, 0.0, 5.0]] * 3, "binary_dims": 2},
@@ -698,8 +717,9 @@ def with_fields(kind, **fields):
 
 @st.composite
 def hostile_documents(draw):
-    """A kind and the text of one of its documents with one to three fields
-    replaced, deleted or added, or with a hostile top level."""
+    """A kind, the text of one of its documents with one to three fields
+    replaced, deleted or added, or with a hostile top level, and the flags
+    to run it with: a ``--seed`` may be given to simulate and experiment."""
     kind = draw(st.sampled_from(sorted(VALID_DOCS)))
     doc = copy.deepcopy(VALID_DOCS[kind])
     if draw(st.integers(0, 9)) == 0:
@@ -714,7 +734,8 @@ def hostile_documents(draw):
                 parent.pop(path[-1], None)
             elif not (isinstance(parent, list) and len(parent) <= path[-1]):
                 parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
-    return kind, render(doc)
+    seed = draw(st.sampled_from([None, 4, -1])) if kind in ("simulate", "experiment") else None
+    return kind, render(doc), () if seed is None else ("--seed", str(seed))
 
 
 @pytest.fixture(scope="module")
@@ -787,11 +808,33 @@ def test_invalid_json_document_exits_2_naming_the_file(hostile_workdir, kind, do
         ("scheme", {"continuous_edges": 3}, "continuous_edges must be a list of edge lists"),
         ("weight-fn", {"values": None}, "a weight function needs a values list, and a breakpoints list if any"),
         ("weight-fn", {}, "a weight function needs a values list, and a breakpoints list if any"),
+        ("simulate", with_fields("simulate", baseline_log_hazard="<huge-int>"),
+         f"baseline_log_hazard must be finite or -inf, got {10**400}"),
+        ("experiment", with_fields("experiment", baseline_log_hazard="<huge-int>"),
+         f"baseline_log_hazard must be finite or -inf, got {10**400}"),
+        ("simulate", with_fields("simulate", horizon="<huge-int>"), f"horizon must be finite and positive, got {10**400}"),
+        ("experiment", with_fields("experiment", theta="<huge-int>"), f"theta must be finite and positive, got {10**400}"),
+        ("simulate", with_fields("simulate", n="<huge-int>"), f"n must be an integer in [2, {MAX_N}], got {10**400}"),
     ],
-    ids=["scheme-no-keys", "scheme-edges-number", "weight-fn-null-values", "weight-fn-no-values"],
+    ids=["scheme-no-keys", "scheme-edges-number", "weight-fn-null-values", "weight-fn-no-values",
+         "simulate-huge-baseline", "experiment-huge-baseline", "huge-horizon", "huge-theta", "huge-n"],
 )
 def test_malformed_object_exits_2_with_its_owners_message(hostile_workdir, kind, doc, message):
     code, err = run_on_document(hostile_workdir, kind, render(doc))
+    assert code == 2
+    assert err.startswith("error:") and "doc.json" in err and err.endswith(f": {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"replications": 2}, "missing a required argument: 'scenario'"),
+        ({"scenario": 3}, "a scenario must be an object, got int"),
+    ],
+    ids=["no-scenario", "scenario-number"],
+)
+def test_seed_flag_leaves_a_malformed_config_to_its_owner(hostile_workdir, doc, message):
+    code, err = run_on_document(hostile_workdir, "experiment", render(doc), ("--seed", "4"))
     assert code == 2
     assert err.startswith("error:") and "doc.json" in err and err.endswith(f": {message}\n")
 
