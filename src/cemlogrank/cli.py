@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate (emit a cohort CSV), match, test, experiment.  Exit
-codes: 0 success, 2 input error, 3 numeric failure.  Test decisions are data
-in the output, never encoded in the exit status.
+codes: 0 success, 2 input error, 3 numeric failure (experiment records one
+per replicate instead).  Test decisions are never encoded in the exit status.
 """
 
 import argparse

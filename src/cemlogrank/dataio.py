@@ -4,8 +4,8 @@ fingerprint of the canonicalized configuration that produced it.
 """
 
 import csv
+import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DatasetFormatError
-from .experiment import ExperimentResult
+from .experiment import ExperimentResult, ReplicateRecord
 from .logrank import TestResult, WeightFunction
 from .matching import _REASONS, CoarseningScheme, MatchedCohort, omega_n_holds
 from .survival import Cohort
@@ -436,14 +436,13 @@ def result_report(
 
 
 def samples_csv_text(result: ExperimentResult) -> str:
-    """Per-replicate rows: replicate, method, statistic, omega_n, n1."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replicate", "method", "statistic", "omega_n", "n1"])
-    for r in result.records:
-        omega = "" if r.omega_n is None else ("true" if r.omega_n else "false")
-        writer.writerow([r.replicate, r.method, repr(r.statistic), omega, r.n1])
-    return buf.getvalue()
+    """A header of the record fields' names, then a line per record of its
+    fields in that order, each written by its type: a float by repr, a flag
+    as true or false, None as an empty field, an int or a name as itself."""
+    names = [f.name for f in dataclasses.fields(ReplicateRecord)]
+    text = {float: repr, bool: {True: "true", False: "false"}.get, type(None): lambda _: ""}
+    rows = ([getattr(r, k) for k in names] for r in result.records)
+    return "".join(",".join(text.get(type(v), str)(v) for v in row) + "\n" for row in [names, *rows])
 
 
 def experiment_report(result: ExperimentResult) -> dict:

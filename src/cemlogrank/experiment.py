@@ -9,12 +9,12 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RankDeficiencyError, SeparationError, WeightOverflowError
 from .iptw import fit_logistic, iptw_logrank, iptw_weights
 from .logrank import check_decision, run_test
 from .matching import MAX_BINS, grid_scheme, match
@@ -22,16 +22,21 @@ from .simulate import BINARY_DIMS, CONTINUOUS_DIMS, Scenario, generate
 from .util import norm_cdf, require_arguments, require_int, require_positive, require_reals
 
 Method = Literal["cem", "iptw", "both"]
+Status = Literal["ok", "separation", "overflow", "rank_deficient"]
 
 IPTW_FEATURES = (0, 1)  # intercept plus the first two covariates
+
+# the status of a replicate whose method raised each numeric failure
+FAILURES = {SeparationError: "separation", WeightOverflowError: "overflow",
+            RankDeficiencyError: "rank_deficient"}
 
 # Ceiling on worker processes: run_experiment forks min(threads, replications)
 # of them at once.
 MAX_THREADS = 64
 
-# Ceiling on replications: run_experiment keeps every replicate's records,
-# about 0.5 kB per method, until it summarizes them, so 10**6 replicates of
-# both methods hold about 1 GB.
+# Ceiling on replications: a replicate's record takes about 0.47 kB per
+# method (traced, Python 3.11) and its samples.csv row 0.15 kB of text, all
+# held until written, so 10**6 replicates of both methods hold about 1.2 GB.
 MAX_REPLICATIONS = 10**6
 
 
@@ -92,85 +97,81 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicateRecord:
-    """One method's outcome on one generated cohort."""
+    """One method's outcome on one generated cohort, its fields in order the
+    columns of samples.csv; a numeric failure leaves those with defaults None."""
 
     replicate: int
     method: str
-    statistic: float  # standardized
-    w_tau: float
-    v_tau: float
-    p_lower: float
-    p_upper: float
-    p_two_sided: float
-    omega_n: Optional[bool]
-    n1: int
-    n0: int
-    unmatched_count: int
+    status: Status
     treated_total: int
-    degenerate_variance: bool
+    statistic: Optional[float] = None  # standardized
+    w_tau: Optional[float] = None
+    v_tau: Optional[float] = None
+    p_lower: Optional[float] = None
+    p_upper: Optional[float] = None
+    p_two_sided: Optional[float] = None
+    omega_n: Optional[bool] = None
+    n1: Optional[int] = None
+    n0: Optional[int] = None
+    unmatched_count: Optional[int] = None
+    degenerate_variance: Optional[bool] = None
+
+
+# the fields a failed method leaves None; a method that ran sets each to the
+# TestResult attribute of the same name, but for the three renamed here
+_RESULT_FIELDS = tuple(f.name for f in fields(ReplicateRecord) if f.default is None)
+_RESULT_ATTRIBUTE = {"statistic": "standardized", "w_tau": "statistic", "v_tau": "variance_estimate"}
 
 
 def run_replicate(config: ExperimentConfig, replicate: int) -> list[ReplicateRecord]:
-    """Generate one cohort and evaluate every requested method on it."""
+    """Generate one cohort and evaluate every requested method on it; a
+    method's numeric failure is recorded by its status, not raised."""
     cohort = generate(config.scenario, replicate=replicate)
     treated_total = cohort.arm_count(1)
     records = []
     for method in config.methods():
         # records keep the p-values, not the decision: default alpha suffices
-        if method == "cem":
-            result = run_test(match(cohort, config.scheme))
-        else:
-            model = fit_logistic(cohort, IPTW_FEATURES)
-            result = iptw_logrank(cohort, iptw_weights(model, cohort))
-        records.append(
-            ReplicateRecord(
-                replicate=replicate,
-                method=method,
-                statistic=result.standardized,
-                w_tau=result.statistic,
-                v_tau=result.variance_estimate,
-                p_lower=result.p_lower,
-                p_upper=result.p_upper,
-                p_two_sided=result.p_two_sided,
-                omega_n=result.omega_n,
-                n1=result.n1,
-                n0=result.n0,
-                unmatched_count=result.unmatched_count,
-                treated_total=treated_total,
-                degenerate_variance=result.degenerate_variance,
-            )
-        )
+        try:
+            if method == "cem":
+                result = run_test(match(cohort, config.scheme))
+            else:
+                result = iptw_logrank(cohort, iptw_weights(fit_logistic(cohort, IPTW_FEATURES), cohort))
+        except tuple(FAILURES) as exc:
+            records.append(ReplicateRecord(replicate, method, FAILURES[type(exc)], treated_total))
+            continue
+        results = {k: getattr(result, _RESULT_ATTRIBUTE.get(k, k)) for k in _RESULT_FIELDS}
+        records.append(ReplicateRecord(replicate, method, "ok", treated_total, **results))
     return records
 
 
 @dataclass(frozen=True)
 class MethodSummary:
-    """Distribution summary of one method's standardized statistics.
-
-    Spread, shape, histogram, and quantile fields are None when a single
-    replicate leaves them undefined.
-    """
+    """Distribution summary of one method's standardized statistics over its
+    ``replications`` ok replicates, and the share of its replicates that failed.
+    Every statistic is None when none is ok, and the spread, shape, histogram,
+    and quantile fields when a single one leaves them undefined."""
 
     method: str
     replications: int
-    mean: float
-    sd: Optional[float]
-    skewness: Optional[float]
-    ks_distance: Optional[float]
-    rejection_rate_upper: float
-    rejection_rate_lower: float
-    rejection_rate_two_sided: float
-    lower_tail_rate: float  # share of statistics below the alpha lower normal point
-    mean_v_tau: float
-    var_w_tau: Optional[float]
-    mean_n1: float
-    mean_treated_total: float
-    omega_n_rate: Optional[float]
-    match_exponent_mean: Optional[float]  # mean of log(n1)/log(n) where n1 > 0
-    histogram_edges: Optional[list[float]]
-    histogram_counts: Optional[list[int]]
-    qq_theoretical: Optional[list[float]]
-    qq_sample: Optional[list[float]]
+    failure_rate: float
+    mean: Optional[float] = None
+    sd: Optional[float] = None
+    skewness: Optional[float] = None
+    ks_distance: Optional[float] = None
+    rejection_rate_upper: Optional[float] = None
+    rejection_rate_lower: Optional[float] = None
+    rejection_rate_two_sided: Optional[float] = None
+    lower_tail_rate: Optional[float] = None  # share of statistics below the alpha lower normal point
+    mean_v_tau: Optional[float] = None
+    var_w_tau: Optional[float] = None
+    mean_n1: Optional[float] = None
+    mean_treated_total: Optional[float] = None
+    omega_n_rate: Optional[float] = None
+    match_exponent_mean: Optional[float] = None  # mean of log(n1)/log(n) where n1 > 0
+    histogram_edges: Optional[list[float]] = None
+    histogram_counts: Optional[list[int]] = None
+    qq_theoretical: Optional[list[float]] = None
+    qq_sample: Optional[list[float]] = None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -195,57 +196,57 @@ def _ks_distance(sorted_vals: np.ndarray) -> float:
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 
 
-def summarize_method(
-    records: list[ReplicateRecord], config: ExperimentConfig
-) -> MethodSummary:
+def summarize_method(records: list[ReplicateRecord], config: ExperimentConfig) -> MethodSummary:
+    """The summary of one method's records, which reads only their fields
+    (so samples.csv) and the config."""
     # statistics loads fractions, decimal and random; only experiments need it
     from statistics import NormalDist
 
-    vals = np.array([r.statistic for r in records], dtype=float)
-    m = len(vals)
+    if not records:
+        raise ValueError("summarize_method needs the records of one method, got an empty list")
+    ok = [r for r in records if r.status == "ok"]
+    m = len(ok)
+    failure_rate = (len(records) - m) / len(records)
+    if not ok:
+        return MethodSummary(records[0].method, 0, failure_rate)
+    # a float column per numeric field of the ok records: a flag as 0 or 1, None as nan
+    names = ("treated_total", *_RESULT_FIELDS)
+    col = dict(zip(names, np.array([[getattr(r, k) for r in ok] for k in names], dtype=float)))
+    vals = col["statistic"]
     alpha = config.alpha
     normal = NormalDist()
-    z_lower = normal.inv_cdf(alpha)
-    omegas = [r.omega_n for r in records if r.omega_n is not None]
+    omegas = col["omega_n"][~np.isnan(col["omega_n"])]
     n = config.scenario.n
-    exps = [math.log(r.n1) / math.log(n) for r in records if r.n1 > 0]
-
+    exps = [math.log(k) / math.log(n) for k in col["n1"].tolist() if k > 0]
+    spread = {}  # the fields a single replicate leaves undefined
     if m >= 2:
         ordered = np.sort(vals)
-        sd = float(np.std(vals, ddof=1))
-        skewness = _skew(vals)
-        ks = _ks_distance(ordered)
-        var_w = float(np.var([r.w_tau for r in records], ddof=1))
         counts, edges = np.histogram(vals, bins="fd")
-        hist_edges = [float(e) for e in edges]
-        hist_counts = [int(c) for c in counts]
-        qq_theory = [normal.inv_cdf((i - 0.5) / m) for i in range(1, m + 1)]
-        qq_sample = ordered.tolist()
-    else:
-        sd = skewness = ks = var_w = None
-        hist_edges = hist_counts = qq_theory = qq_sample = None
-
+        spread = dict(
+            sd=float(np.std(vals, ddof=1)),
+            skewness=_skew(vals),
+            ks_distance=_ks_distance(ordered),
+            var_w_tau=float(np.var(col["w_tau"], ddof=1)),
+            histogram_edges=edges.tolist(),
+            histogram_counts=counts.tolist(),
+            qq_theoretical=[normal.inv_cdf((i - 0.5) / m) for i in range(1, m + 1)],
+            qq_sample=ordered.tolist(),
+        )
     return MethodSummary(
         method=records[0].method,
         replications=m,
+        failure_rate=failure_rate,
         mean=float(np.mean(vals)),
-        sd=sd,
-        skewness=skewness,
-        ks_distance=ks,
-        rejection_rate_upper=float(np.mean([r.p_upper <= alpha for r in records])),
-        rejection_rate_lower=float(np.mean([r.p_lower <= alpha for r in records])),
-        rejection_rate_two_sided=float(np.mean([r.p_two_sided <= alpha for r in records])),
-        lower_tail_rate=float(np.mean(vals < z_lower)),
-        mean_v_tau=float(np.mean([r.v_tau for r in records])),
-        var_w_tau=var_w,
-        mean_n1=float(np.mean([r.n1 for r in records])),
-        mean_treated_total=float(np.mean([r.treated_total for r in records])),
-        omega_n_rate=float(np.mean(omegas)) if omegas else None,
+        rejection_rate_upper=float(np.mean(col["p_upper"] <= alpha)),
+        rejection_rate_lower=float(np.mean(col["p_lower"] <= alpha)),
+        rejection_rate_two_sided=float(np.mean(col["p_two_sided"] <= alpha)),
+        lower_tail_rate=float(np.mean(vals < normal.inv_cdf(alpha))),
+        mean_v_tau=float(np.mean(col["v_tau"])),
+        mean_n1=float(np.mean(col["n1"])),
+        mean_treated_total=float(np.mean(col["treated_total"])),
+        omega_n_rate=float(np.mean(omegas)) if len(omegas) else None,
         match_exponent_mean=float(np.mean(exps)) if exps else None,
-        histogram_edges=hist_edges,
-        histogram_counts=hist_counts,
-        qq_theoretical=qq_theory,
-        qq_sample=qq_sample,
+        **spread,
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError, SeparationError, WeightOverflowError
 from .logrank import Direction, TestResult, WeightFunction, _kernel, _path, _test_result, check_decision
-from .survival import Cohort, SubjectId, risk_set_sums
+from .survival import Cohort, SubjectId, _array, risk_set_sums
 from .util import expit, pinv, pinv_array, require_int
 
 DECREMENT_TOL = 1e-12  # score @ H^-1 @ score: the same in any units of the covariates
@@ -49,17 +49,21 @@ class IptwWeights:
     """Per-subject constant weights: 1/p-hat for treated, 1/(1 - p-hat) for
     controls.  Always at least 1 because fitted propensities lie in (0, 1).
 
-    ``values`` is a read-only float array aligned with ``ids``.
+    ``values`` is a read-only float array aligned with ``ids``; ids that are
+    not a sequence, or not one finite nonnegative value each, raise ConfigError.
     """
 
     ids: tuple[SubjectId, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.ids),):
-            raise ValueError("weights need exactly one value per id")
+        try:
+            object.__setattr__(self, "ids", tuple(self.ids))
+        except TypeError:
+            raise ConfigError(f"weight ids must be a sequence, got {type(self.ids).__name__}") from None
+        values = _array("weights", self.values, float)
+        if values.shape != (len(self.ids),) or not (np.isfinite(values) & (values >= 0.0)).all():
+            raise ConfigError("weights need exactly one finite nonnegative value per id")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

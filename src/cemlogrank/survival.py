@@ -17,15 +17,14 @@ Times are plain 64-bit floats and are compared exactly; ingestion controls
 rounding, and no epsilon merging is ever applied to event times.
 """
 
-import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .util import require_positive
+from .util import require_positive, require_real
 
 SubjectId = int | str
 
@@ -48,14 +47,12 @@ class SubjectRecord:
     event: bool
 
     def __post_init__(self):
-        if self.arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {self.arm!r}")
-        if self.event not in (0, 1):
-            raise ValueError(f"event must be 0 or 1, got {self.event!r}")
-        if not (math.isfinite(self.observed_time) and self.observed_time >= 0.0):
-            raise ValueError(
-                f"observed_time must be finite and nonnegative, got {self.observed_time!r}"
-            )
+        for name in ("arm", "event"):
+            if getattr(self, name) not in (0, 1):
+                raise ConfigError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
+        require_real("observed_time", self.observed_time, rule := "be finite and nonnegative")
+        if self.observed_time < 0.0:
+            raise ConfigError(f"observed_time must {rule}, got {self.observed_time!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -83,7 +80,9 @@ class Cohort:
     _id_range = None
 
     def __init__(self, subjects: Sequence[SubjectRecord], horizon: float):
-        subjects = tuple(subjects)
+        subjects = tuple(subjects) if isinstance(subjects, Iterable) else (subjects,)
+        if not all(isinstance(s, SubjectRecord) for s in subjects):
+            raise ConfigError("subjects must be a sequence of SubjectRecords")
         self._set_columns(
             tuple(s.id for s in subjects),
             [s.covariates for s in subjects],

@@ -1,8 +1,10 @@
 """The public API: every top-level name and every public name of
 ``cemlogrank.oracle`` and ``cemlogrank.survival`` is listed here, so adding
 or removing one is a visible edit, and the helpers kept off the top level
-still import from their modules."""
+still import from their modules.  So are the experiment outputs' schema:
+the columns of samples.csv and the keys of each method in summary.json."""
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -76,6 +78,50 @@ SURVIVAL = [
     "risk_set_sums",
 ]
 
+# ReplicateRecord's fields, in order: the header of samples.csv
+RECORD_FIELDS = [
+    "replicate",
+    "method",
+    "status",
+    "treated_total",
+    "statistic",
+    "w_tau",
+    "v_tau",
+    "p_lower",
+    "p_upper",
+    "p_two_sided",
+    "omega_n",
+    "n1",
+    "n0",
+    "unmatched_count",
+    "degenerate_variance",
+]
+
+# MethodSummary's fields: the keys of each method's object in summary.json
+SUMMARY_KEYS = [
+    "method",
+    "replications",
+    "failure_rate",
+    "mean",
+    "sd",
+    "skewness",
+    "ks_distance",
+    "rejection_rate_upper",
+    "rejection_rate_lower",
+    "rejection_rate_two_sided",
+    "lower_tail_rate",
+    "mean_v_tau",
+    "var_w_tau",
+    "mean_n1",
+    "mean_treated_total",
+    "omega_n_rate",
+    "match_exponent_mean",
+    "histogram_edges",
+    "histogram_counts",
+    "qq_theoretical",
+    "qq_sample",
+]
+
 MODULE_ONLY = [
     ("simulate", "assign_treatment"),
     ("simulate", "assignment_probability"),
@@ -106,6 +152,14 @@ def defined_names(module) -> list[str]:
         name for name, value in vars(module).items()
         if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
     )
+
+
+def test_record_fields_are_the_listed_ones():
+    assert [f.name for f in dataclasses.fields(cemlogrank.ReplicateRecord)] == RECORD_FIELDS
+
+
+def test_summary_keys_are_the_listed_ones():
+    assert [f.name for f in dataclasses.fields(cemlogrank.MethodSummary)] == SUMMARY_KEYS
 
 
 def test_oracle_names_are_the_listed_ones():

@@ -16,9 +16,14 @@ from hypothesis import strategies as st
 
 from cemlogrank import __version__, cli, dataio, experiment, match, run_test
 from cemlogrank.cli import main
+from cemlogrank.experiment import ExperimentConfig, ExperimentResult, ReplicateRecord, summarize_method
 from cemlogrank.simulate import MAX_N
+from test_api import RECORD_FIELDS
 
 SCHEME = {"box_lo": [-5.0, -5.0, -5.0], "box_hi": [5.0, 5.0, 5.0], "bins_per_dim": 4, "binary_dims": 2}
+# the n = 60 model2 experiment, whose IPTW fit separates in some replicates
+SEPARATING = {"scenario": {"n": 60, "assignment_model": "model2", "hypothesis": "null"},
+              "replications": 20, "method": "both"}
 
 
 @pytest.fixture
@@ -322,7 +327,7 @@ class TestExperiment:
         assert set(summary["methods"]) == {"cem", "iptw"}
         assert summary["version"] == __version__
         rows = (out1 / "samples.csv").read_text().strip().splitlines()
-        assert rows[0] == "replicate,method,statistic,omega_n,n1"
+        assert rows[0] == ",".join(RECORD_FIELDS)
         assert len(rows) == 1 + 12
 
     def test_flag_overrides(self, workdir):
@@ -383,19 +388,21 @@ class TestExperiment:
         assert len((out / "samples.csv").read_text().splitlines()) == 1 + 12
 
     def test_worker_failure_exits_as_at_one_worker(self, workdir, capsys):
-        # the n = 60 model2 experiment separates in some replicates
+        # the n = 60 model2 experiment separates in some replicates, which
+        # are recorded as rows: the run exits 0 and writes both files
         cfg = workdir / "config.json"
-        cfg.write_text(json.dumps({
-            "scenario": {"n": 60, "assignment_model": "model2", "hypothesis": "null"},
-            "replications": 20, "method": "both",
-        }))  # fmt: skip
-        errors = []
-        for threads in ("1", "2"):
+        cfg.write_text(json.dumps(SEPARATING))
+        outputs = []
+        for threads in ("1", "2", "12"):
             out = workdir / f"threads{threads}"
-            assert main(["experiment", "--config", str(cfg), "--threads", threads, "--output-dir", str(out)]) == 3
-            assert not out.exists()
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] and errors[0].startswith("numeric failure: ")
+            assert main(["experiment", "--config", str(cfg), "--threads", threads, "--output-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append([(out / name).read_bytes() for name in ("summary.json", "samples.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+        rows = list(csv.DictReader(io.StringIO(outputs[0][1].decode())))
+        assert {row["status"] for row in rows if row["method"] == "iptw"} == {"ok", "separation"}
+        methods = json.loads(outputs[0][0])["methods"]
+        assert methods["iptw"]["failure_rate"] > 0.0 and methods["cem"]["failure_rate"] == 0.0
 
     def test_zero_baseline_hazard_is_echoed_and_fingerprinted(self, workdir):
         # a baseline_log_hazard of -Infinity (a zero hazard) is a valid config;
@@ -592,6 +599,45 @@ class TestUnusablePaths:
         assert len(errors) == 1 and named.format(w=workdir) in errors[0]
 
 
+# the experiment whose outputs TestPinnedOutputs.test_experiment_bytes pins
+PINNED_EXPERIMENT = {"scenario": {"n": 2000, "assignment_model": "model2", "hypothesis": "null", "seed": 3},
+                     "replications": 12, "method": "both", "threads": 1}
+
+
+def parse_field(text: str):
+    """A samples.csv field as the value it was written from: empty is None,
+    true and false are flags, an int or a float literal is that number, and
+    any other text (a method or a status) is itself.  A float is written by
+    repr, which always holds a '.', an 'e', 'inf' or 'nan', so no float
+    reads as an int."""
+    if text in ("", "true", "false"):
+        return {"": None, "true": True, "false": False}[text]
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("config", [PINNED_EXPERIMENT, SEPARATING], ids=["pinned", "separating"])
+def test_summary_is_rebuilt_from_samples_and_config(workdir, config):
+    # summary.json is a function of samples.csv and the config alone
+    path = workdir / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path), "--output-dir", str(workdir / "out")]) == 0
+    samples = (workdir / "out" / "samples.csv").read_text()
+    records = [
+        ReplicateRecord(**{name: parse_field(text) for name, text in row.items()})
+        for row in csv.DictReader(io.StringIO(samples))
+    ]
+    built = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    summaries = {m: summarize_method([r for r in records if r.method == m], built) for m in built.methods()}
+    result = ExperimentResult(built, records, summaries)
+    assert dataio.samples_csv_text(result) == samples
+    assert dataio.json_text(dataio.experiment_report(result)) == (workdir / "out" / "summary.json").read_text()
+
+
 def sha256_of(*paths) -> list[str]:
     import hashlib
 
@@ -614,8 +660,8 @@ class TestPinnedOutputs:
     }
     # summary.json, samples.csv
     EXPERIMENT_SHA256 = [
-        "be57ccd9284446a3fa9b62fea6b68c6c2ffec4fe115dcb2dd55dcb490d9fcb77",
-        "22f53995634daada79726a5753437f6a0445c232693d10083fbfdbb3455369df",
+        "b659378574e20b3f8d32a3dd95035defbb0d002ff3061a9dd2cac5cdfc7af6c3",
+        "4d84fae9c0d95c601a181f7ef3406e275a58aaa332d679b58be23e3602b96bb9",
     ]
 
     def test_simulate_and_match_bytes(self, workdir, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 
 from cemlogrank import (
     Cohort,
+    ConfigError,
     ExperimentConfig,
     IptwWeights,
     MatchedCohort,
@@ -268,6 +269,32 @@ class TestRecordValidation:
     def test_nonfinite_time(self):
         with pytest.raises(ValueError):
             make_record("a", math.inf, True)
+
+
+class TestRowLayerRaisesConfigError:
+    """The row types raise ConfigError, as every other entry point does, on
+    values of any type."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("observed_time", "x", "observed_time must be finite and nonnegative, got 'x'"),
+            ("observed_time", None, "observed_time must be finite and nonnegative, got None"),
+            ("observed_time", 10**400, "observed_time must be finite and nonnegative, got 1000"),
+            ("observed_time", -1.0, "observed_time must be finite and nonnegative, got -1.0"),
+            ("arm", "1", "arm must be 0 or 1, got '1'"),
+            ("event", "x", "event must be 0 or 1, got 'x'"),
+        ],
+    )
+    def test_record(self, field, value, message):
+        fields = {"id": "a", "covariates": (0.0,), "arm": 1, "observed_time": 1.0, "event": True}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            SubjectRecord(**{**fields, field: value})
+
+    @pytest.mark.parametrize("subjects", [5, None, "ab", [5], [("a", (0.0,), 1, 1.0, True)]])
+    def test_cohort_of_records(self, subjects):
+        with pytest.raises(ConfigError, match="^subjects must be a sequence of SubjectRecords$"):
+            Cohort(subjects=subjects, horizon=1.0)
 
 
 class TestEventValidation:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import signal
@@ -6,9 +8,21 @@ import time
 import numpy as np
 import pytest
 
-from cemlogrank import ExperimentConfig, Scenario, experiment, run_experiment
+from cemlogrank import ExperimentConfig, ReplicateRecord, Scenario, experiment, run_experiment, run_replicate
 from cemlogrank.dataio import experiment_report, samples_csv_text
-from cemlogrank.errors import SeparationError
+from cemlogrank.errors import RankDeficiencyError, SeparationError, WeightOverflowError
+from cemlogrank.experiment import summarize_method
+from test_api import RECORD_FIELDS
+
+# the fields a failed method leaves empty
+RESULT_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("statistic"):]
+
+# the n = 60 model2 experiment, whose IPTW fit separates in some replicates
+SEPARATING = dict(
+    scenario=Scenario(n=60, assignment_model="model2", hypothesis="null"),
+    replications=20,
+    method="both",
+)
 
 
 def tiny_config(**kwargs):
@@ -105,13 +119,71 @@ class TestRunExperiment:
     def test_samples_csv_shape(self):
         res = run_experiment(tiny_config(replications=3))
         lines = samples_csv_text(res).strip().splitlines()
-        assert lines[0] == "replicate,method,statistic,omega_n,n1"
+        assert lines[0] == ",".join(RECORD_FIELDS)
         assert len(lines) == 1 + 6
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "cem"
-        assert first[3] in ("true", "false")
-        iptw_row = next(l for l in lines[1:] if l.split(",")[1] == "iptw")
-        assert iptw_row.split(",")[3] == ""  # coverage flag undefined for iptw
+        rows = list(csv.DictReader(io.StringIO(samples_csv_text(res))))
+        first = rows[0]
+        assert first["replicate"] == "0" and first["method"] == "cem" and first["status"] == "ok"
+        assert first["omega_n"] in ("true", "false")
+        iptw_row = next(row for row in rows if row["method"] == "iptw")
+        assert iptw_row["omega_n"] == ""  # coverage flag undefined for iptw
+
+
+class TestFailures:
+    """A method's numeric failure in a replicate is a record with its status
+    and no result, and the summary covers the ok records only."""
+
+    @pytest.mark.parametrize(
+        "target, error, status",
+        [
+            ("fit_logistic", SeparationError, "separation"),
+            ("iptw_weights", WeightOverflowError, "overflow"),
+            ("fit_logistic", RankDeficiencyError, "rank_deficient"),
+            ("run_test", SeparationError, "separation"),
+        ],
+    )
+    def test_each_numeric_failure_is_recorded(self, monkeypatch, target, error, status):
+        def fail(*args):
+            raise error("failed")
+
+        monkeypatch.setattr(experiment, target, fail)
+        cem, iptw = run_replicate(tiny_config(), 3)
+        failed, ran = (cem, iptw) if target == "run_test" else (iptw, cem)
+        assert (failed.replicate, failed.status, ran.status) == (3, status, "ok")
+        assert failed.treated_total == ran.treated_total > 0
+        assert all(getattr(failed, name) is None for name in RESULT_FIELDS)
+        assert all(getattr(ran, name) is not None for name in RESULT_FIELDS if name != "omega_n")
+
+    def test_failed_rows_are_written_empty(self):
+        res = run_experiment(ExperimentConfig(**SEPARATING))
+        rows = list(csv.DictReader(io.StringIO(samples_csv_text(res))))
+        failed = [row for row in rows if row["status"] != "ok"]
+        assert failed and {(row["method"], row["status"]) for row in failed} == {("iptw", "separation")}
+        assert all(row[name] == "" for row in failed for name in RESULT_FIELDS)
+        assert all(row["treated_total"] != "" for row in failed)
+
+    def test_summary_covers_the_ok_records(self):
+        res = run_experiment(ExperimentConfig(**SEPARATING))
+        iptw = [r for r in res.records if r.method == "iptw"]
+        ok = [r for r in iptw if r.status == "ok"]
+        s = res.summaries["iptw"]
+        assert 0 < len(ok) < len(iptw)
+        assert s.replications == len(ok)
+        assert s.failure_rate == (len(iptw) - len(ok)) / len(iptw)
+        assert s.mean == float(np.mean([r.statistic for r in ok]))
+        assert s.mean_treated_total == float(np.mean([r.treated_total for r in ok]))
+        assert res.summaries["cem"].failure_rate == 0.0 and res.summaries["cem"].replications == 20
+
+    def test_no_ok_record_leaves_every_statistic_none(self):
+        config = tiny_config()
+        records = [ReplicateRecord(r, "iptw", "separation", 0) for r in range(3)]
+        s = summarize_method(records, config).to_dict()
+        assert (s.pop("method"), s.pop("replications"), s.pop("failure_rate")) == ("iptw", 0, 1.0)
+        assert set(s.values()) == {None}
+
+    def test_no_records_is_a_value_error(self):
+        with pytest.raises(ValueError, match="got an empty list"):
+            summarize_method([], tiny_config())
 
 
 def assert_no_children_left():
@@ -153,17 +225,13 @@ class TestForkedWorkers:
     block of replicates; the parent reaps every child on every path."""
 
     @pytest.mark.parametrize("threads", [2, 4])
-    def test_separation_is_raised_as_at_one_worker(self, threads):
-        config = dict(
-            scenario=Scenario(n=60, assignment_model="model2", hypothesis="null"),
-            replications=20,
-            method="both",
-        )
-        with pytest.raises(SeparationError) as serial:
-            run_experiment(ExperimentConfig(**config, threads=1))
-        with pytest.raises(SeparationError) as forked:
-            run_experiment(ExperimentConfig(**config, threads=threads))
-        assert str(forked.value) == str(serial.value)
+    def test_separation_is_recorded_as_at_one_worker(self, threads):
+        serial = run_experiment(ExperimentConfig(**SEPARATING, threads=1))
+        forked = run_experiment(ExperimentConfig(**SEPARATING, threads=threads))
+        assert "separation" in {r.status for r in serial.records}
+        assert forked.records == serial.records
+        assert samples_csv_text(forked) == samples_csv_text(serial)
+        assert experiment_report(forked) == experiment_report(serial)
         assert_no_children_left()
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4, 12])

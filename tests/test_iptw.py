@@ -206,6 +206,28 @@ class TestIptwWeights:
         values = iptw_weights(model, cohort).values
         assert min(values) >= 1.0
 
+    @pytest.mark.parametrize(
+        "values",
+        [[None, 1.0], [math.inf, 1.0], [math.nan, 1.0], [-1.0, 1.0], [10**400, 1.0], ["x", 1.0],
+         [[1.0], [1.0, 2.0]], {}, [1.0], 2.0],
+        ids=["none", "inf", "nan", "negative", "huge-int", "text", "ragged", "object", "short", "scalar"],
+    )
+    def test_bad_values_are_rejected(self, values):
+        # a None or an inf weight was stored, and the test then read nan as
+        # a statistic that never rejects
+        with pytest.raises(ConfigError, match="^weights"):
+            IptwWeights(ids=("t", "c"), values=values)
+
+    @pytest.mark.parametrize("ids", [5, None, 2.5])
+    def test_ids_must_be_a_sequence(self, ids):
+        with pytest.raises(ConfigError, match=f"^weight ids must be a sequence, got {type(ids).__name__}$"):
+            IptwWeights(ids=ids, values=[1.0])
+
+    def test_zero_weight_is_accepted(self):
+        cohort = cohort_of((subj("t", 1, 1.0), subj("c", 0, 2.0), subj("u", 0, 3.0)), horizon=10.0)
+        res = iptw_logrank(cohort, IptwWeights(ids=cohort.ids, values=[1.0, 0.0, 1.0]))
+        assert math.isfinite(res.standardized)
+
     def test_horvitz_thompson_identity(self):
         rng = np.random.default_rng(2025)
         cohort = bernoulli_cohort(rng, 100_000, (-1.2, 0.6, -0.4))

@@ -206,6 +206,7 @@ ENTRY_POINTS = {
     "Scenario.from_dict": (Scenario.from_dict, True, SCENARIO),
     "ExperimentConfig": (lambda kw: ExperimentConfig(**kw), False, {"scenario": Scenario(n=50), **CONFIG}),
     "ExperimentConfig.from_dict": (ExperimentConfig.from_dict, True, {"scenario": SCENARIO, **CONFIG}),
+    "IptwWeights": (lambda kw: IptwWeights(**kw), False, {"ids": ["a", "b"], "values": [1.0, 2.5]}),
 }
 
 
